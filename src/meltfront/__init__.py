@@ -2,8 +2,8 @@
 
 A double fixed point solves the reduced problem: an inner Picard iteration
 finds the temperature profile for a fixed front coefficient, and an outer
-bisection finds the front coefficient itself.  Existence hypotheses are
-certified numerically alongside every solve.
+bracketed (ITP) root search finds the front coefficient itself.  Existence
+hypotheses are certified numerically alongside every solve.
 """
 
 __version__ = "0.1.0"

@@ -22,9 +22,8 @@ import copy
 import csv
 import json
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -323,7 +322,6 @@ def _cmd_sweep(args) -> int:
 
     tuples = list(product(*(sweep[name] for name in names)))
     outdir = _out_dir(cfg, args)
-    lock = threading.Lock()
     any_failed = False
 
     def run_case(index: int, combo) -> dict:
@@ -358,15 +356,13 @@ def _cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         fh.flush()
+        # rows are taken in case order; only this thread writes
         with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-            futures = [pool.submit(run_case, i, combo) for i, combo in enumerate(tuples)]
-            for fut in as_completed(futures):
-                row = fut.result()
+            for row in pool.map(run_case, range(len(tuples)), tuples):
                 if str(row["status"]) != "ok":
                     any_failed = True
-                with lock:
-                    writer.writerow(row)
-                    fh.flush()
+                writer.writerow(row)
+                fh.flush()
                 _say(args, f"case {row['case']}: {row['status']}")
     _write_sidecar(outdir, "sweep")
     _say(args, f"{len(tuples)} case(s) written to {outdir / 'sweep.csv'}")

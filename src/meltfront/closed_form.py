@@ -45,15 +45,15 @@ def dirichlet_constant(Ste: float, Pe: float = 0.0, lambda_max: float = 10.0) ->
     """Front coefficient and erf-ratio profile for an imposed face temperature.
 
     The front equation has a unique root; it is located by scanning for the
-    first sign change and bisecting.
+    first sign change and refining it with the bracketed root finder.
     """
     if not Ste > 0.0:
         raise ConfigError(f"Ste must be positive, got {Ste}")
     if Pe < 0.0:
         raise ConfigError(f"Pe must be non-negative, got {Pe}")
 
-    def resid(lam: float) -> float:
-        return math.sqrt(math.pi) * lam * (erf(Pe) - erf(Pe - lam)) * math.exp((Pe - lam) ** 2) - Ste
+    def resid(lam):
+        return math.sqrt(math.pi) * lam * (erf(Pe) - erf(Pe - lam)) * np.exp((Pe - lam) ** 2) - Ste
 
     intervals = sign_change_intervals(resid, lambda_max * 1e-12, lambda_max, 4096)
     if not intervals:
@@ -90,8 +90,8 @@ def neumann_constant(
     if q_star is None:
         q_star = 2.0 * load
 
-    def resid(lam: float) -> float:
-        return lam * math.exp(lam**2 - 2.0 * lam * Pe) - load
+    def resid(lam):
+        return lam * np.exp(lam**2 - 2.0 * lam * Pe) - load
 
     intervals = sign_change_intervals(resid, lambda_max * 1e-12, lambda_max, 1024)
     if not intervals:

@@ -227,7 +227,17 @@ def load_coefficient_table(path: str | Path) -> dict[str, np.ndarray]:
             raise ConfigError(f"coefficient table {path} is empty") from None
         if [h.strip() for h in header] != ["T", "k", "rho_c", "mu"]:
             raise ConfigError(f"coefficient table {path} must have header 'T,k,rho_c,mu', got {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"coefficient table {path} line {reader.line_num}"
+            if len(row) != 4:
+                raise ConfigError(f"{where}: expected 4 cells, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ConfigError(f"{where}: non-numeric cell in {row!r}") from None
     if len(rows) < 2:
         raise ConfigError(f"coefficient table {path} needs at least two rows")
     data = np.asarray(rows, dtype=float)

@@ -82,9 +82,10 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
     """Unique root of (contraction bound) = 1, with a reason when it does not exist.
 
     The contraction bounds are increasing in z, so the root is located by
-    doubling until the bound passes 1 and bisecting.  An identically zero
-    bound (constant coefficients) means unconditional contraction and is
-    reported as an absent threshold with that note.
+    doubling until the bound passes 1 and refining with the bracketed root
+    finder, which steps to the midpoint where the bound is infinite.  An
+    identically zero bound (constant coefficients) means unconditional
+    contraction and is reported as an absent threshold with that note.
     """
     try:
         e0 = contraction_at_zero(prob)

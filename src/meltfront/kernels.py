@@ -8,8 +8,8 @@ For a profile f on [0, lambda] the four kernels are
     Phi(f)(z) = int_0^z E(f)/L*(f)
 
 All integrals use a cumulative composite trapezoid rule on the shared uniform
-grid, so every node value comes out of one pass and refinement behaves at
-second order.
+grid (a running sum of neighbour pairs times half the step), so every node
+value comes out of one pass and refinement behaves at second order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import erf
 
 from .coefficients import DimensionlessProblem, eval_coefficient
@@ -101,22 +100,51 @@ class ProfileGrid:
         return self.lam / self.n
 
     def with_values(self, f: np.ndarray) -> "ProfileGrid":
-        return ProfileGrid(self.lam, np.asarray(f, dtype=float), self.xi)
+        """The same grid with new node values; the grid itself is not re-validated."""
+        f = np.array(f, dtype=float)
+        if f.shape != self.xi.shape:
+            raise ConfigError("xi and f must have the same length")
+        f.setflags(write=False)
+        grid = object.__new__(ProfileGrid)
+        for name, value in (("lam", self.lam), ("f", f), ("xi", self.xi)):
+            object.__setattr__(grid, name, value)
+        return grid
 
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Node values of U, I, E and Phi for one profile."""
+    """Node values of E and Phi for one profile, and of U and I on demand.
+
+    The solver needs only E and Phi; U and I are rebuilt from their
+    exponents when read.
+    """
 
     xi: np.ndarray
-    U: np.ndarray
-    I: np.ndarray
+    log_U: np.ndarray
+    log_I: np.ndarray
     E: np.ndarray
     Phi: np.ndarray
 
     @property
+    def U(self) -> np.ndarray:
+        return np.exp(self.log_U)
+
+    @property
+    def I(self) -> np.ndarray:
+        return np.exp(self.log_I)
+
+    @property
     def phi_lam(self) -> float:
         return float(self.Phi[-1])
+
+
+def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
+    """Cumulative composite trapezoid of node values y on a uniform grid, starting at 0."""
+    out = np.empty_like(y)
+    out[0] = 0.0
+    np.cumsum(y[1:] + y[:-1], out=out[1:])
+    out *= 0.5 * step
+    return out
 
 
 def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval:
@@ -131,15 +159,19 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
     N = eval_coefficient(prob.N_star, f)
     mu = eval_coefficient(prob.mu_star, f)
     for name, arr in (("L*", L), ("N*", N), ("mu*", mu)):
-        if not np.all(np.isfinite(arr)):
+        # a finite sum rules out inf and NaN without a mask; an overflowing
+        # sum of finite values falls through to the exact test
+        if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ConfigError(f"{name} returned a non-finite value at node {bad} (xi={xi[bad]!r})")
-    if np.any(L <= 0.0):
+    if L.min() <= 0.0:
         bad = int(np.flatnonzero(L <= 0.0)[0])
         raise ConfigError(f"L* must be positive, got {L[bad]!r} at node {bad}")
 
-    exp_u = 2.0 * cumulative_trapezoid(mu / L, xi, initial=0.0)
-    exp_i = 2.0 * cumulative_trapezoid(xi * N / L, xi, initial=0.0)
+    # the exponents are twice the integrals: scaling the step by 2 is exact
+    step = profile.step
+    exp_u = _cumulative_trapezoid(mu / L, 2.0 * step)
+    exp_i = _cumulative_trapezoid(xi * N / L, 2.0 * step)
     worst = max(float(np.max(exp_u)), float(np.max(exp_i)))
     if worst > EXP_GUARD:
         which = exp_u if float(np.max(exp_u)) >= float(np.max(exp_i)) else exp_i
@@ -150,11 +182,9 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
             node=bad,
             exponent=worst,
         )
-    U = np.exp(exp_u)
-    I = np.exp(exp_i)
     E = np.exp(exp_u - exp_i)
-    Phi = cumulative_trapezoid(E / L, xi, initial=0.0)
-    return KernelEval(xi=xi, U=U, I=I, E=E, Phi=Phi)
+    Phi = _cumulative_trapezoid(E / L, step)
+    return KernelEval(xi=xi, log_U=exp_u, log_I=exp_i, E=E, Phi=Phi)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Outer fixed point for the front coefficient: bracket and bisect V(lambda) = lambda.
+"""Outer fixed point for the front coefficient: bracket and solve V(lambda) = lambda.
 
 V(lambda) evaluates the front condition on the inner fixed-point profile:
 
@@ -9,8 +9,13 @@ V(lambda) evaluates the front condition on the inner fixed-point profile:
 
 Sandwich curves V1 <= V <= V2 (V1 = 0 for Robin/radiative) provide a
 bracket (lambda1, lambda2) with a guaranteed sign change of V(lambda) -
-lambda whenever the existence hypotheses hold; bisection then finds the
-front coefficient.  Bisection is deliberate: V is only known continuous.
+lambda whenever the existence hypotheses hold; the bracketed ITP root
+finder of :mod:`rootfind` then finds the front coefficient.  A bracketed
+method is deliberate: V is only known continuous, and a sign change of a
+continuous function is all bisection needs.  ITP needs no more and keeps
+bisection's worst-case step count plus one, because its interpolation
+steps stay inside a shrinking ball around the midpoint; on the smooth V
+met in practice it takes about 7 V evaluations instead of about 30.
 """
 
 from __future__ import annotations
@@ -102,22 +107,31 @@ def v1_curve(prob: DimensionlessProblem, lam: float) -> float:
     return 0.0
 
 
-def v2_curve(prob: DimensionlessProblem, lam: float) -> float:
-    """Upper sandwich curve for the boundary condition in play."""
+def v2_curve(prob: DimensionlessProblem, lam):
+    """Upper sandwich curve for the boundary condition in play.
+
+    Takes a float or an array of lambdas and returns the same kind.
+    """
+    lam = np.asarray(lam, dtype=float)
     kind = prob.bc_kind
     if kind is BCKind.NEUMANN:
-        return prob.q_star / (prob.M * prob.L_m) * math.exp(
+        value = prob.q_star / (prob.M * prob.L_m) * np.exp(
             2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_M / prob.L_m
         )
-    if kind is BCKind.RADIATIVE:
+    elif kind is BCKind.RADIATIVE:
         amp = prob.Ste * (2.0 * prob.Bi + prob.r * prob.T_star**4) / 2.0
-        return amp * math.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M)
-    # Dirichlet and Robin share the erf-based envelope
-    scale = prob.Ste / math.sqrt(math.pi) * math.sqrt(prob.N_M / prob.L_m) * prob.L_M
-    denom = erf(math.sqrt(prob.N_M / prob.L_m) * lam)
-    if denom == 0.0:
-        return math.inf
-    return scale * math.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M) / denom
+        value = amp * np.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M)
+    else:
+        # Dirichlet and Robin share the erf-based envelope
+        scale = prob.Ste / math.sqrt(math.pi) * math.sqrt(prob.N_M / prob.L_m) * prob.L_M
+        denom = erf(math.sqrt(prob.N_M / prob.L_m) * lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(
+                denom == 0.0,
+                math.inf,
+                scale * np.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M) / denom,
+            )
+    return float(value) if value.ndim == 0 else value
 
 
 def v_value(
@@ -225,12 +239,15 @@ class SolveReport:
 
 
 def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveReport:
-    """Find lambda with |V(lambda) - lambda| <= outer_tol by bisection over the bracket.
+    """Find lambda with |V(lambda) - lambda| <= outer_tol by ITP over the bracket.
 
     Each V evaluation re-solves the inner problem warm-started from the
     previous profile (the inner fixed point is unique, so the start only
     affects iteration counts).  If the bracket endpoints do not show a sign
-    change, the bracket is scanned at 64 points before giving up.
+    change, the bracket is scanned at 64 points before giving up.  The
+    search otherwise stops when the bracket is narrower than
+    1e-15 max(1, lambda) or after 200 steps; the reported lambda is the
+    evaluated point with the smallest |V - lambda|, with its own profile.
     """
     from .existence import certify  # deferred: existence builds on this module's bracket
 
@@ -243,33 +260,30 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
     hi = br.lambda2 * (1.0 + 1e-4)
 
     warm: dict[str, np.ndarray | None] = {"f": None}
+    evaluated: list[tuple[float, float, InnerResult]] = []
 
-    def g(lam: float) -> tuple[float, InnerResult]:
+    def g(lam: float) -> float:
         f0 = None
         if warm["f"] is not None:
             f0 = ProfileGrid.from_values(lam, warm["f"])
         value, inner = v_value(prob, lam, settings, f0=f0)
         warm["f"] = inner.profile.f
-        return value - lam, inner
+        evaluated.append((lam, value - lam, inner))
+        return value - lam
 
-    ga, inner_a = g(lo)
-    gb, inner_b = g(hi)
+    ga, gb = g(lo), g(hi)
     a, b = lo, hi
     if np.sign(ga) == np.sign(gb):
         # no sign change at the endpoints: hypotheses are likely violated,
         # scan the bracket before failing
-        xs = np.linspace(lo, hi, 64)
-        prev_x, prev_val, prev_inner = lo, ga, inner_a
-        found = False
-        for x in xs[1:]:
-            val, inner_x = g(float(x))
-            if np.sign(val) != np.sign(prev_val):
-                a, ga, inner_a = prev_x, prev_val, prev_inner
-                b, gb, inner_b = float(x), val, inner_x
-                found = True
+        prev_x, prev_g = lo, ga
+        for x in np.linspace(lo, hi, 64)[1:]:
+            gx = g(float(x))
+            if np.sign(gx) != np.sign(prev_g):
+                a, ga, b, gb = prev_x, prev_g, float(x), gx
                 break
-            prev_x, prev_val, prev_inner = float(x), val, inner_x
-        if not found:
+            prev_x, prev_g = float(x), gx
+        else:
             raise ConvergenceError(
                 f"V(lambda) - lambda has no sign change over the {br.provenance} bracket "
                 f"[{br.lambda1:.6g}, {br.lambda2:.6g}] sampled at 64 points "
@@ -277,22 +291,14 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
                 lam=None,
             )
 
-    best = (a, ga, inner_a) if abs(ga) <= abs(gb) else (b, gb, inner_b)
-    outer_iterations = 0
-    while abs(best[1]) > settings.outer_tol and outer_iterations < 200:
-        mid = 0.5 * (a + b)
-        if b - a <= 1e-15 * max(1.0, b):
-            break
-        gm, inner_m = g(mid)
-        if abs(gm) < abs(best[1]):
-            best = (mid, gm, inner_m)
-        if np.sign(gm) == np.sign(ga):
-            a, ga = mid, gm
-        else:
-            b = mid
-        outer_iterations += 1
-
-    lam_tilde, g_best, inner_best = best
+    # candidates for the reported lambda: the bracket ends and the ITP steps
+    evaluated[:] = [e for e in evaluated if e[0] in (a, b)]
+    ends = len(evaluated)
+    # the width rule is fixed from the lower end, so it never stops the
+    # search before the bracket is narrower than 1e-15 max(1, lambda)
+    bisect_root(g, a, b, xtol=0.5e-15 * max(1.0, a), ftol=settings.outer_tol, max_iter=200, fa=ga, fb=gb)
+    outer_iterations = len(evaluated) - ends
+    lam_tilde, g_best, inner_best = min(evaluated, key=lambda e: abs(e[1]))
     profile = inner_best.profile
     return SolveReport(
         lambda_tilde=lam_tilde,

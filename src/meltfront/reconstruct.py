@@ -63,7 +63,11 @@ class PhysicalSolution:
         return PchipInterpolator(self.profile.xi, self.profile.f, extrapolate=False)
 
     def f_at(self, xi):
-        return self._interp(np.clip(xi, 0.0, self.profile.lam))
+        """Profile value at xi; at and beyond the front it is the front node value exactly."""
+        lam = self.profile.lam
+        # the interpolant evaluated at its right breakpoint can miss the node
+        # value by an ulp, enough to leave [0, 1]
+        return np.where(np.asarray(xi) >= lam, self.profile.f[-1], self._interp(np.clip(xi, 0.0, lam)))
 
     def temperature_of_f(self, f):
         f = np.asarray(f, dtype=float)

@@ -66,6 +66,27 @@ def test_invalid_configs_exit_3(tmp_path):
     assert main(["solve", "--config", str(small_grid), "--quiet"]) == 3
 
 
+TABLE_HEADER = "T,k,rho_c,mu\n"
+GOOD_ROWS = "0.5,1.0,1.0,0.3\n1.0,1.0,1.0,0.3\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        GOOD_ROWS + "np.float64(2.0),1.0,1.0,0.3\n",  # a numpy repr instead of a number
+        GOOD_ROWS + "2.0,1.0,1.0\n",  # a missing cell
+        GOOD_ROWS + "2.0,1.0,1.0,0.3,7.0\n",  # an extra cell
+    ],
+    ids=["non-numeric", "short-row", "long-row"],
+)
+def test_malformed_coefficient_tables_exit_3(tmp_path, rows, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_HEADER + rows)
+    cfg = write_config(tmp_path / "cfg.json", coefficients={"family": "table", "path": str(table)})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert f"{table} line 4" in capsys.readouterr().err
+
+
 def test_oracle_commands(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", coefficients={"family": "constant", "Pe": 0.5})
     out = tmp_path / "out"
@@ -94,7 +115,12 @@ def test_sweep_runs_all_tuples(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "3", "--quiet"]) == 0
+    serial = tmp_path / "serial"
+    assert main(["sweep", "--config", str(cfg), "--out", str(serial), "--workers", "1", "--quiet"]) == 0
+    # rows come out in case order whatever the number of workers
+    assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
     rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(6)]
     assert rows[0].startswith("case,")
     assert len(rows) == 1 + 6
     lambdas = {}

@@ -113,3 +113,16 @@ def test_csv_exports(tmp_path, dirichlet_case):
     assert rows[0] == ["t", "s"]
     assert float(rows[1][1]) == 0.0
     assert float(rows[3][1]) == pytest.approx(2.0 * float(rows[2][1]))
+
+
+def test_profile_at_and_beyond_the_front_is_the_front_node_value(rng):
+    bc = Dirichlet(T_star=2.0, T_m=1.0)
+    for _ in range(200):
+        lam = float(rng.uniform(0.05, 3.0))
+        n = int(rng.integers(16, 600))
+        f = np.sort(rng.uniform(0.0, 1.0, n + 1))
+        f[-1] = 1.0
+        sol = PhysicalSolution(lambda_tilde=lam, alpha0=1.0, bc=bc, profile=ProfileGrid.from_values(lam, f))
+        assert sol.f_at(lam) == f[-1]
+        assert sol.f_at(2.0 * lam) == f[-1]
+        assert np.all(sol.f_at(np.array([lam, 1.5 * lam])) == f[-1])
