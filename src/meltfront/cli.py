@@ -21,10 +21,11 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -52,29 +53,59 @@ from .pde_verifier import FrontFixedScheme, verify
 from .reconstruct import export_field_csv, export_front_csv, physical_solution
 
 _TOP_KEYS = {"bc", "coefficients", "reference", "numerics", "outputs", "sweep", "pde"}
-_BC_KEYS = {
-    "dirichlet": {"T_star"},
-    "neumann": {"q"},
-    "robin": {"h", "T_star"},
-    "radiative": {"h", "sigma", "epsilon", "T_star"},
-}
+# the keys of a bc block are the fields of its class, T_m coming from the reference block
+_BC_CLASSES = {cls.kind.value: cls for cls in (Dirichlet, Neumann, Robin, Radiative)}
 _COEF_KEYS = {"constant": {"Pe"}, "linear": {"alpha", "beta", "Pe"}, "table": {"path"}}
 _REFERENCE_KEYS = {"k0", "rho0", "c0", "ell", "T_m"}
-_NUMERICS_KEYS = {"n", "inner_tol", "outer_tol", "max_iter", "lambda_max"}
+_NUMERICS = {"n": int, "inner_tol": float, "outer_tol": float, "max_iter": int, "lambda_max": float}
 _OUTPUTS_KEYS = {"dir", "times", "nx"}
 _PDE_KEYS = {"nodes", "t0", "t1", "safety", "dt", "sample_every"}
+_KIND_NAMES = {
+    float: "a finite number",
+    int: "a finite integer",
+    list: "a list of finite numbers",
+    dict: "a JSON object",
+    str: "a string",
+}
+_REQUIRED = object()
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
+def _check_keys(block: dict, allowed, where: str) -> None:
+    unknown = set(block).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
-def _require(block: dict, keys: set[str], where: str) -> None:
-    missing = keys - set(block)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
+    """The value of the last part of the dotted ``name`` in ``block``, as ``kind``.
+
+    float and int values are converted and must be finite, a list must hold
+    finite numbers (returned as floats), and a dict or str must already be
+    one.  A missing key returns ``default`` when one is given.  Anything else
+    raises ConfigError naming ``name``.
+    """
+    key = name.rpartition(".")[2]
+    if key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {name}")
+        return default
+    value = block[key]
+    try:
+        if kind in (dict, str):
+            if isinstance(value, kind):
+                return value
+        elif kind is list:
+            if isinstance(value, list):
+                numbers = [float(v) for v in value]
+                if all(map(math.isfinite, numbers)):
+                    return numbers
+        else:
+            number = kind(value)
+            if math.isfinite(number):
+                return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 @dataclass
@@ -101,70 +132,40 @@ def load_config(path: str | Path) -> dict:
 
 
 def _build_bc(cfg: dict) -> BoundaryCondition:
-    _require(cfg, {"bc", "reference"}, "config")
-    bc_block = cfg["bc"]
-    ref = cfg["reference"]
+    bc_block = _read(cfg, "bc", dict)
+    ref = _read(cfg, "reference", dict)
     _check_keys(ref, _REFERENCE_KEYS, "reference block")
-    _require(ref, _REFERENCE_KEYS, "reference block")
-    kind = bc_block.get("kind")
-    if kind not in _BC_KEYS:
-        raise ConfigError(f"bc.kind must be one of {sorted(_BC_KEYS)}, got {kind!r}")
-    _check_keys(bc_block, _BC_KEYS[kind] | {"kind"}, "bc block")
-    _require(bc_block, _BC_KEYS[kind], "bc block")
-    T_m = float(ref["T_m"])
-    if kind == "dirichlet":
-        return Dirichlet(T_star=float(bc_block["T_star"]), T_m=T_m)
-    if kind == "neumann":
-        return Neumann(q=float(bc_block["q"]), T_m=T_m)
-    if kind == "robin":
-        return Robin(h=float(bc_block["h"]), T_star=float(bc_block["T_star"]), T_m=T_m)
-    return Radiative(
-        h=float(bc_block["h"]),
-        sigma=float(bc_block["sigma"]),
-        epsilon=float(bc_block["epsilon"]),
-        T_star=float(bc_block["T_star"]),
-        T_m=T_m,
-    )
+    kind = _read(bc_block, "bc.kind", str, None)
+    if kind not in _BC_CLASSES:
+        raise ConfigError(f"bc.kind must be one of {sorted(_BC_CLASSES)}, got {kind!r}")
+    cls = _BC_CLASSES[kind]
+    keys = {field.name for field in fields(cls)} - {"T_m"}
+    _check_keys(bc_block, keys | {"kind"}, "bc block")
+    return cls(T_m=_read(ref, "reference.T_m"), **{key: _read(bc_block, f"bc.{key}") for key in sorted(keys)})
 
 
 def _build_model(cfg: dict, bc: BoundaryCondition) -> ThermalModel:
-    _require(cfg, {"coefficients"}, "config")
-    block = cfg["coefficients"]
-    ref = cfg["reference"]
-    family = block.get("family")
+    block = _read(cfg, "coefficients", dict)
+    ref = _read(cfg, "reference", dict)
+    family = _read(block, "coefficients.family", str, None)
     if family not in _COEF_KEYS:
         raise ConfigError(f"coefficients.family must be one of {sorted(_COEF_KEYS)}, got {family!r}")
     _check_keys(block, _COEF_KEYS[family] | {"family"}, "coefficients block")
-    k0, rho0, c0, ell = (float(ref[k]) for k in ("k0", "rho0", "c0", "ell"))
+    k0, rho0, c0, ell = (_read(ref, f"reference.{k}") for k in ("k0", "rho0", "c0", "ell"))
     if family == "constant":
-        return constant_model(k0, rho0, c0, ell, Pe=float(block.get("Pe", 0.0)))
+        return constant_model(k0, rho0, c0, ell, Pe=_read(block, "coefficients.Pe", float, 0.0))
     if family == "linear":
-        _require(block, {"alpha", "beta", "Pe"}, "coefficients block")
         if not hasattr(bc, "T_star"):
             raise ConfigError("the linear coefficient family needs a boundary condition providing T_star")
-        return linear_model(
-            k0, rho0, c0, ell,
-            alpha=float(block["alpha"]), beta=float(block["beta"]), Pe=float(block["Pe"]),
-            T_star=bc.T_star, T_m=bc.T_m,
-        )
-    _require(block, {"path"}, "coefficients block")
-    return table_model_from_csv(block["path"], k0, rho0, c0, ell)
+        alpha, beta, Pe = (_read(block, f"coefficients.{k}") for k in ("alpha", "beta", "Pe"))
+        return linear_model(k0, rho0, c0, ell, alpha=alpha, beta=beta, Pe=Pe, T_star=bc.T_star, T_m=bc.T_m)
+    return table_model_from_csv(_read(block, "coefficients.path", str), k0, rho0, c0, ell)
 
 
 def _build_settings(cfg: dict, grid_override: int | None) -> SolverSettings:
-    block = cfg.get("numerics", {})
-    _check_keys(block, _NUMERICS_KEYS, "numerics block")
-    kwargs = {}
-    if "n" in block:
-        kwargs["n"] = int(block["n"])
-    if "inner_tol" in block:
-        kwargs["inner_tol"] = float(block["inner_tol"])
-    if "outer_tol" in block:
-        kwargs["outer_tol"] = float(block["outer_tol"])
-    if "max_iter" in block:
-        kwargs["max_iter"] = int(block["max_iter"])
-    if "lambda_max" in block:
-        kwargs["lambda_max"] = float(block["lambda_max"])
+    block = _read(cfg, "numerics", dict, {})
+    _check_keys(block, _NUMERICS, "numerics block")
+    kwargs = {key: _read(block, f"numerics.{key}", kind) for key, kind in _NUMERICS.items() if key in block}
     if grid_override is not None:
         kwargs["n"] = grid_override
     return SolverSettings(**kwargs)
@@ -172,7 +173,7 @@ def _build_settings(cfg: dict, grid_override: int | None) -> SolverSettings:
 
 def build_problem(cfg: dict, grid_override: int | None = None) -> Problem:
     """Validate a config dict and construct the solvable problem."""
-    _check_keys(cfg.get("outputs", {}), _OUTPUTS_KEYS, "outputs block")
+    _check_keys(_read(cfg, "outputs", dict, {}), _OUTPUTS_KEYS, "outputs block")
     bc = _build_bc(cfg)
     model = _build_model(cfg, bc)
     settings = _build_settings(cfg, grid_override)
@@ -181,7 +182,7 @@ def build_problem(cfg: dict, grid_override: int | None = None) -> Problem:
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    out = args.out or cfg.get("outputs", {}).get("dir", ".")
+    out = args.out or _read(_read(cfg, "outputs", dict, {}), "outputs.dir", str, ".")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -237,9 +238,9 @@ def _cmd_solve(args) -> int:
     _dump_json(outdir / "report.json", report_as_dict(report))
     _write_profile_csv(outdir / "profile.csv", report.profile.xi, report.profile.f)
     sol = physical_solution(report, problem.model, problem.bc)
-    outputs = cfg.get("outputs", {})
-    times = [float(t) for t in outputs.get("times", [1.0])]
-    nx = int(outputs.get("nx", 101))
+    outputs = _read(cfg, "outputs", dict, {})
+    times = _read(outputs, "outputs.times", list, [1.0])
+    nx = _read(outputs, "outputs.nx", int, 101)
     export_field_csv(sol, outdir / "field.csv", times, nx)
     export_front_csv(sol, outdir / "front.csv", times)
     _write_sidecar(outdir, "solve")
@@ -266,17 +267,14 @@ def _cmd_oracle(args) -> int:
     family = cfg["coefficients"].get("family")
     if family != "constant":
         raise ConfigError(f"the oracle covers constant coefficients only, got family {family!r}")
-    Pe = float(cfg["coefficients"].get("Pe", 0.0))
-    ref = cfg["reference"]
-    model, bc = problem.model, problem.bc
+    Pe = _read(cfg["coefficients"], "coefficients.Pe", float, 0.0)
+    model, bc, prob = problem.model, problem.bc, problem.prob
     if bc.kind is BCKind.DIRICHLET:
-        Ste = (bc.T_star - bc.T_m) * model.c0 / model.ell
-        sol = dirichlet_constant(Ste, Pe, lambda_max=problem.settings.lambda_max)
-        payload = {"bc_kind": "dirichlet", "Ste": Ste, "Pe": Pe}
+        sol = dirichlet_constant(prob.Ste, Pe, lambda_max=problem.settings.lambda_max)
+        payload = {"bc_kind": "dirichlet", "Ste": prob.Ste, "Pe": Pe}
     elif bc.kind is BCKind.NEUMANN:
         load = bc.q / (model.rho0 * model.ell * np.sqrt(model.alpha0))
-        q_star = 2.0 * bc.q * np.sqrt(model.alpha0) / (model.k0 * bc.T_m)
-        sol = neumann_constant(load, Pe, q_star=q_star, lambda_max=problem.settings.lambda_max)
+        sol = neumann_constant(load, Pe, q_star=prob.q_star, lambda_max=problem.settings.lambda_max)
         payload = {"bc_kind": "neumann", "load": load, "Pe": Pe}
     else:
         raise ConfigError(f"no closed form for a {bc.kind.value} condition; use `solve`")
@@ -372,15 +370,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_pde(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg, args.grid)
-    pde = cfg.get("pde", {})
+    pde = _read(cfg, "pde", dict, {})
     _check_keys(pde, _PDE_KEYS, "pde block")
     scheme = FrontFixedScheme(
-        n_space=int(pde.get("nodes", 200)),
-        t0=float(pde.get("t0", 1.0)),
-        t1=float(pde.get("t1", 2.0)),
-        safety=float(pde.get("safety", 0.4)),
-        dt=float(pde["dt"]) if "dt" in pde else None,
-        sample_every=int(pde.get("sample_every", 16)),
+        n_space=_read(pde, "pde.nodes", int, 200),
+        t0=_read(pde, "pde.t0", float, 1.0),
+        t1=_read(pde, "pde.t1", float, 2.0),
+        safety=_read(pde, "pde.safety", float, 0.4),
+        dt=_read(pde, "pde.dt", float, None),
+        sample_every=_read(pde, "pde.sample_every", int, 16),
     )
     outdir = _out_dir(cfg, args)
     try:

@@ -8,7 +8,8 @@ This module builds those from dimensional material data: two built-in
 coefficient families (constant and linear-in-temperature), or tabulated
 coefficients read from CSV and interpolated piecewise-linearly.
 
-Scaled temperature maps:
+Scaled temperature map (:func:`temperature_of_f`, shared with the
+reconstruction of physical fields):
 
 * Dirichlet / Robin / radiative:  T(f) = (T_m - T_star) * f + T_star
 * Neumann:                        T(f) = T_m * (1 + f)
@@ -40,6 +41,7 @@ __all__ = [
     "Radiative",
     "BoundaryCondition",
     "DimensionlessProblem",
+    "temperature_of_f",
     "constant_model",
     "linear_model",
     "table_model",
@@ -219,6 +221,8 @@ def linear_model(
 def load_coefficient_table(path: str | Path) -> dict[str, np.ndarray]:
     """Read a coefficient table CSV with header ``T,k,rho_c,mu`` and strictly increasing T."""
     path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"coefficient table {path} does not exist or is not a file")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -399,6 +403,14 @@ class Radiative:
 BoundaryCondition = Union[Dirichlet, Neumann, Robin, Radiative]
 
 
+def temperature_of_f(bc: BoundaryCondition, f):
+    """Temperature at scaled temperature f (scalar or array) under ``bc``'s map."""
+    f = np.asarray(f, dtype=float)
+    if bc.kind is BCKind.NEUMANN:
+        return bc.T_m * (1.0 + f)
+    return (bc.T_m - bc.T_star) * f + bc.T_star
+
+
 # ---------------------------------------------------------------------------
 # dimensionless problem
 # ---------------------------------------------------------------------------
@@ -411,7 +423,9 @@ class DimensionlessProblem:
     The functions take the scaled temperature f (scalar or array) and return
     positive values.  The nine constants bound them on f in [0, 1]:
     L_m <= L*(f) <= L_M with Lipschitz constant L_tilde, and likewise for
-    N* and mu*.  Parameters not used by ``bc_kind`` are None.
+    N* and mu*.  Parameters not used by ``bc_kind`` are None.  A radiative
+    problem needs ``T_star`` and ``T_m`` for the fourth-power term: T_star^4
+    and D5 must be finite.
     """
 
     L_star: Callable
@@ -432,7 +446,6 @@ class DimensionlessProblem:
     M: float | None = None
     Bi: float | None = None
     r: float | None = None
-    D5: float | None = None
     T_star: float | None = None
     T_m: float | None = None
     bounds_certified: bool = True
@@ -459,8 +472,23 @@ class DimensionlessProblem:
         if kind is BCKind.RADIATIVE:
             if self.r is None or self.r < 0.0:
                 raise ConfigError(f"radiative problems need r >= 0, got {self.r!r}")
-            if self.D5 is None or self.T_star is None or self.T_m is None:
-                raise ConfigError("radiative problems need D5, T_star and T_m")
+            if self.T_star is None or self.T_m is None:
+                raise ConfigError("radiative problems need T_star and T_m")
+            try:
+                finite = math.isfinite(self.T_star**4) and math.isfinite(self.D5)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"radiative problems need finite T_star^4 and D5, got T_star={self.T_star!r}, T_m={self.T_m!r}"
+                )
+
+    @property
+    def D5(self) -> float | None:
+        """Lipschitz constant 4 (T_star - T_m) |T_star|^3 of the fourth-power term (radiative only)."""
+        if self.bc_kind is not BCKind.RADIATIVE:
+            return None
+        return 4.0 * (self.T_star - self.T_m) * abs(self.T_star) ** 3
 
 
 def _default_estimate_range(bc: BoundaryCondition) -> tuple[float, float]:
@@ -503,23 +531,16 @@ def build_dimensionless(
     k0, gamma0 = model.k0, model.rho0 * model.c0
     mu0 = math.sqrt(gamma0 * k0)
     alpha0 = model.alpha0
-    if kind is BCKind.NEUMANN:
-        T_m = bc.T_m
-        temp_of = lambda f: T_m * (1.0 + np.asarray(f, dtype=float))
-        scale = abs(bc.T_m)
-    else:
-        T_star, T_m = bc.T_star, bc.T_m
-        temp_of = lambda f: (T_m - T_star) * np.asarray(f, dtype=float) + T_star
-        scale = bc.T_star - bc.T_m
+    scale = abs(bc.T_m) if kind is BCKind.NEUMANN else bc.T_star - bc.T_m
 
+    # callers evaluate these through eval_coefficient, which also covers
+    # scalar-only model callables
     k_fn, g_fn, m_fn = model.k, model.rho_c, model.mu
-    L_star = lambda f: eval_coefficient(k_fn, temp_of(f)) / k0
-    N_star = lambda f: eval_coefficient(g_fn, temp_of(f)) / gamma0
-    mu_star = lambda f: eval_coefficient(m_fn, temp_of(f)) / mu0
+    L_star = lambda f: k_fn(temperature_of_f(bc, f)) / k0
+    N_star = lambda f: g_fn(temperature_of_f(bc, f)) / gamma0
+    mu_star = lambda f: m_fn(temperature_of_f(bc, f)) / mu0
 
-    params: dict[str, float | None] = dict(
-        Ste=None, q_star=None, M=None, Bi=None, r=None, D5=None, T_star=None, T_m=None
-    )
+    params: dict[str, float | None] = dict(Ste=None, q_star=None, M=None, Bi=None, r=None, T_star=None, T_m=None)
     if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):
         params["Ste"] = (bc.T_star - bc.T_m) * model.c0 / model.ell
         params["T_star"] = bc.T_star
@@ -535,7 +556,6 @@ def build_dimensionless(
         params["Bi"] = bc.h * math.sqrt(alpha0) / k0
     if kind is BCKind.RADIATIVE:
         params["r"] = 2.0 * bc.sigma * bc.epsilon * math.sqrt(alpha0) / (k0 * (bc.T_star - bc.T_m))
-        params["D5"] = 4.0 * (bc.T_star - bc.T_m) * abs(bc.T_star) ** 3
 
     return DimensionlessProblem(
         L_star=L_star,
@@ -561,51 +581,12 @@ def build_dimensionless(
 # ---------------------------------------------------------------------------
 
 
-def _radiative_extras(kind: BCKind, T_star, T_m, r):
-    if kind is not BCKind.RADIATIVE:
-        return {"r": None, "D5": None}
-    if T_star is None or T_m is None:
-        raise ConfigError("radiative problems need T_star and T_m")
-    return {"r": r, "D5": 4.0 * (T_star - T_m) * abs(T_star) ** 3}
+def constant_problem(bc_kind: BCKind, Pe: float = 0.0, **params: float | None) -> DimensionlessProblem:
+    """Constant-coefficient problem L* = N* = 1, mu* = Pe: the linear family at alpha = beta = 0.
 
-
-def constant_problem(
-    bc_kind: BCKind,
-    Pe: float = 0.0,
-    *,
-    Ste: float | None = None,
-    q_star: float | None = None,
-    M: float | None = None,
-    Bi: float | None = None,
-    r: float | None = None,
-    T_star: float | None = None,
-    T_m: float | None = None,
-) -> DimensionlessProblem:
-    """Constant-coefficient problem: L* = N* = 1 and mu* = Pe."""
-    one = lambda f: np.ones_like(np.asarray(f, dtype=float))
-    pe = lambda f: np.full_like(np.asarray(f, dtype=float), Pe)
-    return DimensionlessProblem(
-        L_star=one,
-        N_star=one,
-        mu_star=pe,
-        L_m=1.0,
-        L_M=1.0,
-        L_tilde=0.0,
-        N_m=1.0,
-        N_M=1.0,
-        N_tilde=0.0,
-        mu_m=Pe,
-        mu_M=Pe,
-        mu_tilde=0.0,
-        bc_kind=bc_kind,
-        Ste=Ste,
-        q_star=q_star,
-        M=M,
-        Bi=Bi,
-        T_star=T_star,
-        T_m=T_m,
-        **_radiative_extras(bc_kind, T_star, T_m, r),
-    )
+    ``params`` are the keyword-only boundary-condition parameters of :func:`linear_problem`.
+    """
+    return linear_problem(bc_kind, 0.0, 0.0, Pe, **params)
 
 
 def linear_problem(
@@ -652,7 +633,7 @@ def linear_problem(
         q_star=q_star,
         M=M,
         Bi=Bi,
+        r=r if bc_kind is BCKind.RADIATIVE else None,
         T_star=T_star,
         T_m=T_m,
-        **_radiative_extras(bc_kind, T_star, T_m, r),
     )

@@ -12,7 +12,7 @@ uncertified data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .coefficients import BCKind, DimensionlessProblem
 from .errors import ConfigError
@@ -156,12 +156,7 @@ def report_as_dict(report: ExistenceReport) -> dict:
         "bc_kind": report.bc_kind.value,
         "lambda_bar": report.lambda_bar,
         "lambda_bar_note": report.lambda_bar_note,
-        "bracket": {
-            "lambda1": report.bracket.lambda1,
-            "lambda2": report.bracket.lambda2,
-            "provenance": report.bracket.provenance,
-            "extra_sign_changes": report.bracket.extra_sign_changes,
-        },
+        "bracket": asdict(report.bracket),
         "epsilon_at_lambda2": report.epsilon_at_lambda2,
         "hypothesis_flags": dict(sorted(report.hypothesis_flags.items())),
         "certified": report.certified,

@@ -21,7 +21,7 @@ met in practice it takes about 7 V evaluations instead of about 30.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -63,9 +63,11 @@ class SolverSettings:
     def __post_init__(self):
         if self.n < 16:
             raise ConfigError(f"grid must have at least 16 intervals, got {self.n}")
-        if min(self.inner_tol, self.outer_tol) <= 0.0:
-            raise ConfigError("tolerances must be positive")
-        if self.max_iter < 1 or self.scan_points < 8 or self.lambda_max <= 0.0:
+        if not all(0.0 < tol < math.inf for tol in (self.inner_tol, self.outer_tol)):
+            raise ConfigError(f"tolerances must be positive and finite, got {self.inner_tol!r}, {self.outer_tol!r}")
+        if not 0.0 < self.lambda_max < math.inf:
+            raise ConfigError(f"lambda_max must be positive and finite, got {self.lambda_max!r}")
+        if self.max_iter < 1 or self.scan_points < 8:
             raise ConfigError("invalid solver settings")
 
 
@@ -327,12 +329,7 @@ def report_as_dict(report: SolveReport) -> dict:
         "v_at_lambda": report.v_at_lambda,
         "outer_residual": report.outer_residual,
         "outer_iterations": report.outer_iterations,
-        "bracket": {
-            "lambda1": report.bracket.lambda1,
-            "lambda2": report.bracket.lambda2,
-            "provenance": report.bracket.provenance,
-            "extra_sign_changes": report.bracket.extra_sign_changes,
-        },
+        "bracket": asdict(report.bracket),
         "inner": {
             "iterations": inner.iterations,
             "residual": inner.residual,

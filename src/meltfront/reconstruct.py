@@ -1,11 +1,9 @@
 """Physical temperature fields and the moving front from a similarity solution.
 
-The dimensionless profile f on [0, lambda] maps back through
-
-    T(x, t) = (T_m - T_star) f(xi) + T_star       (Dirichlet / Robin / radiative)
-    T(x, t) = T_m f(xi) + T_m                      (Neumann)
-
-with xi = x / (2 sqrt(alpha0 t)), and the front follows
+The dimensionless profile f on [0, lambda] maps back through the scaled
+temperature map of the reduction, :func:`coefficients.temperature_of_f`, at
+xi = x / (2 sqrt(alpha0 t)), so a reconstructed temperature gives the
+reduced coefficients to the last bit.  The front follows
 s(t) = 2 lambda sqrt(alpha0 t).  Queries beyond the front return None: the
 one-phase model defines no temperature there.
 """
@@ -22,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .coefficients import BCKind, BoundaryCondition, ThermalModel
+from .coefficients import BoundaryCondition, ThermalModel, temperature_of_f
 from .errors import ConfigError
 from .kernels import ProfileGrid
 
@@ -70,10 +68,7 @@ class PhysicalSolution:
         return np.where(np.asarray(xi) >= lam, self.profile.f[-1], self._interp(np.clip(xi, 0.0, lam)))
 
     def temperature_of_f(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.bc.kind is BCKind.NEUMANN:
-            return self.bc.T_m * f + self.bc.T_m
-        return (self.bc.T_m - self.bc.T_star) * f + self.bc.T_star
+        return temperature_of_f(self.bc, f)
 
 
 def physical_solution(report, model: ThermalModel, bc: BoundaryCondition) -> PhysicalSolution:
@@ -99,13 +94,18 @@ def front_speed(sol: PhysicalSolution, t: float) -> float:
     return sol.lambda_tilde * math.sqrt(sol.alpha0 / t)
 
 
-def temperature_at(sol: PhysicalSolution, x: float, t: float) -> float | None:
-    """Temperature at (x, t), or None beyond the front."""
+def _similarity_variable(sol: PhysicalSolution, x, t: float):
+    """xi = x / (2 sqrt(alpha0 t)) for a scalar or array x."""
     if not t > 0.0:
         raise ConfigError(f"temperature queries need t > 0, got {t}")
+    return x / (2.0 * math.sqrt(sol.alpha0 * t))
+
+
+def temperature_at(sol: PhysicalSolution, x: float, t: float) -> float | None:
+    """Temperature at (x, t), or None beyond the front."""
+    xi = _similarity_variable(sol, x, t)
     if x < 0.0:
         raise ConfigError(f"x must be non-negative, got {x}")
-    xi = x / (2.0 * math.sqrt(sol.alpha0 * t))
     if xi > sol.lambda_tilde * (1.0 + _FRONT_TOL):
         return None
     return float(sol.temperature_of_f(sol.f_at(xi)))
@@ -131,15 +131,17 @@ def stefan_residual(sol: PhysicalSolution, model: ThermalModel, t: float) -> flo
 
 def export_field_csv(sol: PhysicalSolution, path: str | Path, times: Sequence[float], nx: int = 101) -> Path:
     """Write `x,t,T` rows over [0, s(t)] for each time (liquid region only)."""
+    if nx < 0:
+        raise ConfigError(f"nx must be non-negative, got {nx}")
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "t", "T"])
         for t in times:
-            s = front_position(sol, t)
-            for x in np.linspace(0.0, s, nx):
-                T = temperature_at(sol, float(x), float(t))
-                writer.writerow([repr(float(x)), repr(float(t)), repr(float(T))])
+            t = float(t)
+            x = np.linspace(0.0, front_position(sol, t), nx)
+            T = sol.temperature_of_f(sol.f_at(_similarity_variable(sol, x, t)))
+            writer.writerows([repr(float(xj)), repr(t), repr(float(Tj))] for xj, Tj in zip(x, T))
     return path
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -64,6 +65,54 @@ def test_invalid_configs_exit_3(tmp_path):
     assert main(["solve", "--config", str(unknown), "--quiet"]) == 3
     small_grid = write_config(tmp_path / "grid.json", numerics={"n": 8})
     assert main(["solve", "--config", str(small_grid), "--quiet"]) == 3
+
+
+RADIATIVE = {"kind": "radiative", "h": 0.1, "sigma": 1.0, "epsilon": 0.25}
+NAN, INF = float("nan"), float("inf")
+
+# (id, command, config overrides, text the error must contain): each must
+# exit 3 with a message naming the value, never with a traceback
+UNREADABLE_CONFIGS = [
+    ("bc-not-object", "solve", {"bc": "dirichlet"}, "bc must be a JSON object"),
+    ("T_star-text", "solve", {"bc": {"kind": "dirichlet", "T_star": "hot"}}, "bc.T_star must be a finite number"),
+    ("T_star-null", "solve", {"bc": {"kind": "dirichlet", "T_star": None}}, "bc.T_star must be a finite number"),
+    ("T_star-missing", "solve", {"bc": {"kind": "dirichlet"}}, "missing key bc.T_star"),
+    ("n-text", "solve", {"numerics": {"n": "big"}}, "numerics.n must be a finite integer"),
+    ("outer_tol-nan", "solve", {"numerics": {"outer_tol": NAN}}, "numerics.outer_tol must be a finite number"),
+    ("lambda_max-inf", "solve", {"numerics": {"lambda_max": INF}}, "numerics.lambda_max must be a finite number"),
+    ("times-text", "solve", {"outputs": {"times": ["x"]}}, "outputs.times must be a list of finite numbers"),
+    ("times-number", "solve", {"outputs": {"times": 1.0}}, "outputs.times must be a list of finite numbers"),
+    ("nx-negative", "solve", {"outputs": {"nx": -1}}, "nx must be non-negative"),
+    ("Pe-text", "solve", {"coefficients": {"family": "constant", "Pe": "x"}}, "coefficients.Pe must be a finite"),
+    ("coefficients-list", "solve", {"coefficients": []}, "coefficients must be a JSON object"),
+    ("table-missing", "solve", {"coefficients": {"family": "table", "path": "no.csv"}}, "no.csv does not exist"),
+    ("table-directory", "solve", {"coefficients": {"family": "table", "path": "."}}, "is not a file"),
+    ("radiative-T_star-1e80", "solve", {"bc": dict(RADIATIVE, T_star=1e80)}, "T_star^4"),
+    ("radiative-T_star-1e200", "solve", {"bc": dict(RADIATIVE, T_star=1e200)}, "T_star^4"),
+    ("nodes-text", "verify-pde", {"pde": {"nodes": "x"}}, "pde.nodes must be a finite integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [pytest.param(*case[1:], id=case[0]) for case in UNREADABLE_CONFIGS],
+)
+def test_unreadable_config_values_exit_3(tmp_path, monkeypatch, capsys, command, overrides, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and message in err
+
+
+def test_sweep_value_that_cannot_be_read_becomes_an_error_row(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", sweep={"coefficients.Pe": [0.5, "x"]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"] == "error: coefficients.Pe must be a finite number, got 'x'"
 
 
 TABLE_HEADER = "T,k,rho_c,mu\n"

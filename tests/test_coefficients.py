@@ -1,16 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from meltfront import (
+    BCKind,
     ConfigError,
     Dirichlet,
     Neumann,
+    ProfileGrid,
     Radiative,
     Robin,
     ThermalModel,
     build_dimensionless,
     constant_model,
+    constant_problem,
     estimate_bounds,
+    eval_kernels,
     linear_model,
     table_model,
     table_model_from_csv,
@@ -56,6 +62,32 @@ def test_radiative_fourth_power_constant():
     # D5 = 4 (T_star - T_m) |T_star|^3 = 4 * 1 * 8
     assert prob.D5 == pytest.approx(32.0)
     assert prob.r == pytest.approx(2.0 * 1.0 * 0.25 * 1.0 / (1.0 * 1.0))
+    assert build_dimensionless(model, Robin(h=0.1, T_star=2.0, T_m=1.0)).D5 is None
+
+
+@pytest.mark.parametrize("T_star", [1e80, 1e200, math.inf])
+def test_radiative_T_star_whose_fourth_power_overflows_is_rejected(T_star):
+    with pytest.raises(ConfigError, match=r"T_star\^4"):
+        constant_problem(BCKind.RADIATIVE, Pe=0.5, Ste=1.0, Bi=0.1, r=0.01, T_star=T_star, T_m=1.0)
+    model = constant_model(1.0, 1.0, 1.0, 1.0, Pe=0.5)
+    with pytest.raises(ConfigError, match=r"T_star\^4"):
+        build_dimensionless(model, Radiative(h=0.1, sigma=1.0, epsilon=0.25, T_star=T_star, T_m=1.0))
+
+
+def test_scalar_only_coefficients_reduce_like_array_coefficients():
+    # float() takes one value only, so the first model's callables reject arrays
+    def model(value):
+        return ThermalModel(
+            k=lambda T: 1.0 + 0.1 * value(T),
+            rho_c=lambda T: 2.0 + 0.05 * value(T),
+            mu=lambda T: 0.3 * value(T),
+            k0=1.0, rho0=1.0, c0=2.0, ell=1.0,
+        )
+
+    profile = ProfileGrid.linear(0.6, 64)
+    for bc in (Dirichlet(T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)):
+        scalar, array = (eval_kernels(profile, build_dimensionless(model(v), bc)) for v in (float, np.asarray))
+        assert np.array_equal(scalar.E, array.E) and np.array_equal(scalar.Phi, array.Phi)
 
 
 def test_neumann_parameters():

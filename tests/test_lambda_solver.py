@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from meltfront import (
     BCKind,
+    ConfigError,
     ConvergenceError,
     Neumann,
     SolverSettings,
@@ -160,3 +161,13 @@ def test_report_payload_is_json_ready():
     text = json.dumps(payload, sort_keys=True)
     assert "existence" in payload
     assert json.loads(text)["lambda"] == payload["lambda"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("inner_tol", math.nan), ("outer_tol", math.nan), ("outer_tol", math.inf), ("lambda_max", math.inf),
+     ("lambda_max", math.nan)],
+)
+def test_settings_reject_non_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match="finite"):
+        SolverSettings(**{field: value})

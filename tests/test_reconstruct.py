@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from meltfront import (
+    ConfigError,
     Dirichlet,
     Neumann,
     ProfileGrid,
@@ -17,6 +18,7 @@ from meltfront import (
     physical_solution,
     solve_lambda,
     stefan_residual,
+    table_model,
     temperature_at,
 )
 from meltfront.reconstruct import PhysicalSolution
@@ -108,6 +110,12 @@ def test_csv_exports(tmp_path, dirichlet_case):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "t", "T"]
     assert len(rows) == 1 + 2 * 11
+    # the array export agrees with point queries to the last bit
+    for x, t, T in rows[1:]:
+        assert float(T) == temperature_at(sol, float(x), float(t))
+    for t in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            export_field_csv(sol, tmp_path / "bad.csv", times=[1.0, t], nx=11)
     with front.open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "s"]
@@ -126,3 +134,14 @@ def test_profile_at_and_beyond_the_front_is_the_front_node_value(rng):
         assert sol.f_at(lam) == f[-1]
         assert sol.f_at(2.0 * lam) == f[-1]
         assert np.all(sol.f_at(np.array([lam, 1.5 * lam])) == f[-1])
+
+
+def test_reconstruction_uses_the_reduction_temperature_map():
+    # T_m = 1.3 makes T_m (1 + f) and T_m f + T_m round apart at some nodes
+    T = np.linspace(1.0, 3.0, 21)
+    model = table_model(T, 1.0 + 0.1 * np.sin(3.0 * T), 1.0 + 0.05 * np.cos(T), 0.2 + 0.01 * T, 1.0, 1.0, 1.0, 1.0)
+    bc = Neumann(q=0.5, T_m=1.3)
+    prob = build_dimensionless(model, bc)
+    sol = physical_solution(solve_lambda(prob, SolverSettings(n=256)), model, bc)
+    f = sol.profile.f
+    assert np.array_equal(model.k(sol.temperature_of_f(f)) / model.k0, prob.L_star(f))
