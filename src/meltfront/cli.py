@@ -59,7 +59,7 @@ _COEF_KEYS = {"constant": {"Pe"}, "linear": {"alpha", "beta", "Pe"}, "table": {"
 _REFERENCE_KEYS = {"k0", "rho0", "c0", "ell", "T_m"}
 _NUMERICS = {"n": int, "inner_tol": float, "outer_tol": float, "max_iter": int, "lambda_max": float}
 _OUTPUTS_KEYS = {"dir", "times", "nx"}
-_PDE_KEYS = {"nodes", "t0", "t1", "safety", "dt", "sample_every"}
+_PDE_KEYS = {"nodes", "t0", "t1"}
 _KIND_NAMES = {
     float: "a finite number",
     int: "a finite integer",
@@ -229,6 +229,14 @@ def _failure_exit_code(problem: Problem) -> int:
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg, args.grid)
+    # the export would reject these after the report is written
+    outputs = _read(cfg, "outputs", dict, {})
+    times = _read(outputs, "outputs.times", list, [1.0])
+    nx = _read(outputs, "outputs.nx", int, 101)
+    if not all(t > 0.0 for t in times):
+        raise ConfigError(f"outputs.times must all be positive, got {times!r}")
+    if nx < 0:
+        raise ConfigError(f"outputs.nx must be non-negative, got {nx}")
     outdir = _out_dir(cfg, args)
     try:
         report = solve_lambda(problem.prob, problem.settings)
@@ -238,9 +246,6 @@ def _cmd_solve(args) -> int:
     _dump_json(outdir / "report.json", report_as_dict(report))
     _write_profile_csv(outdir / "profile.csv", report.profile.xi, report.profile.f)
     sol = physical_solution(report, problem.model, problem.bc)
-    outputs = _read(cfg, "outputs", dict, {})
-    times = _read(outputs, "outputs.times", list, [1.0])
-    nx = _read(outputs, "outputs.nx", int, 101)
     export_field_csv(sol, outdir / "field.csv", times, nx)
     export_front_csv(sol, outdir / "front.csv", times)
     _write_sidecar(outdir, "solve")
@@ -376,9 +381,6 @@ def _cmd_verify_pde(args) -> int:
         n_space=_read(pde, "pde.nodes", int, 200),
         t0=_read(pde, "pde.t0", float, 1.0),
         t1=_read(pde, "pde.t1", float, 2.0),
-        safety=_read(pde, "pde.safety", float, 0.4),
-        dt=_read(pde, "pde.dt", float, None),
-        sample_every=_read(pde, "pde.sample_every", int, 16),
     )
     outdir = _out_dir(cfg, args)
     try:
@@ -390,7 +392,7 @@ def _cmd_verify_pde(args) -> int:
         return _failure_exit_code(problem)
     _dump_json(outdir / "verify.json", {
         "lambda": report.lambda_tilde,
-        "scheme": {"nodes": scheme.n_space, "t0": scheme.t0, "t1": scheme.t1, "safety": scheme.safety},
+        "scheme": {"nodes": scheme.n_space, "t0": scheme.t0, "t1": scheme.t1},
         "discrepancy": {
             "s_rel_max": disc.s_rel_max,
             "s_rel_final": disc.s_rel_final,

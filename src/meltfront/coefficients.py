@@ -142,18 +142,22 @@ class ThermalModel:
     bounds: CoefficientBounds | None = None
 
     def __post_init__(self):
-        for name in ("k0", "rho0", "c0", "ell"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ConfigError(f"reference constant {name} must be a positive finite real, got {v!r}")
+        _check_reference(self.k0, self.rho0, self.c0, self.ell)
 
     @property
     def alpha0(self) -> float:
         return self.k0 / (self.rho0 * self.c0)
 
 
+def _check_reference(k0: float, rho0: float, c0: float, ell: float) -> None:
+    for name, v in (("k0", k0), ("rho0", rho0), ("c0", c0), ("ell", ell)):
+        if not (np.isfinite(v) and v > 0.0):
+            raise ConfigError(f"reference constant {name} must be a positive finite real, got {v!r}")
+
+
 def constant_model(k0: float, rho0: float, c0: float, ell: float, Pe: float = 0.0) -> ThermalModel:
     """Constant-coefficient material: k = k0, rho*c = rho0*c0, mu = rho0*c0*sqrt(alpha0)*Pe."""
+    _check_reference(k0, rho0, c0, ell)
     if Pe < 0.0:
         raise ConfigError(f"Pe must be non-negative, got {Pe}")
     alpha0 = k0 / (rho0 * c0)
@@ -190,6 +194,7 @@ def linear_model(
     """
     if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
         raise ConfigError("alpha, beta and Pe must be non-negative")
+    _check_reference(k0, rho0, c0, ell)
     if not T_star > T_m:
         raise ConfigError(f"linear family requires T_star > T_m, got T_star={T_star}, T_m={T_m}")
     alpha0 = k0 / (rho0 * c0)
@@ -423,9 +428,10 @@ class DimensionlessProblem:
     The functions take the scaled temperature f (scalar or array) and return
     positive values.  The nine constants bound them on f in [0, 1]:
     L_m <= L*(f) <= L_M with Lipschitz constant L_tilde, and likewise for
-    N* and mu*.  Parameters not used by ``bc_kind`` are None.  A radiative
-    problem needs ``T_star`` and ``T_m`` for the fourth-power term: T_star^4
-    and D5 must be finite.
+    N* and mu*.  Parameters not used by ``bc_kind`` are None.  The bounds
+    and the parameters in use must be finite.  A radiative problem needs
+    ``T_star`` and ``T_m`` for the fourth-power term: T_star^4 and D5 must
+    be finite.
     """
 
     L_star: Callable
@@ -451,27 +457,8 @@ class DimensionlessProblem:
     bounds_certified: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.L_m <= self.L_M and 0.0 < self.N_m <= self.N_M):
-            raise ConfigError("need 0 < L_m <= L_M and 0 < N_m <= N_M")
-        if not (0.0 <= self.mu_m <= self.mu_M):
-            raise ConfigError("need 0 <= mu_m <= mu_M")
-        if min(self.L_tilde, self.N_tilde, self.mu_tilde) < 0.0:
-            raise ConfigError("Lipschitz constants must be non-negative")
         kind = self.bc_kind
-        if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):
-            if self.Ste is None or not self.Ste > 0.0:
-                raise ConfigError(f"{kind.value} problems need Ste > 0, got {self.Ste!r}")
-        if kind is BCKind.NEUMANN:
-            if self.q_star is None or not self.q_star > 0.0:
-                raise ConfigError(f"Neumann problems need q_star > 0, got {self.q_star!r}")
-            if self.M is None or not self.M > 0.0:
-                raise ConfigError(f"Neumann problems need M > 0, got {self.M!r}")
-        if kind in (BCKind.ROBIN, BCKind.RADIATIVE):
-            if self.Bi is None or self.Bi < 0.0:
-                raise ConfigError(f"{kind.value} problems need Bi >= 0, got {self.Bi!r}")
         if kind is BCKind.RADIATIVE:
-            if self.r is None or self.r < 0.0:
-                raise ConfigError(f"radiative problems need r >= 0, got {self.r!r}")
             if self.T_star is None or self.T_m is None:
                 raise ConfigError("radiative problems need T_star and T_m")
             try:
@@ -482,6 +469,26 @@ class DimensionlessProblem:
                 raise ConfigError(
                     f"radiative problems need finite T_star^4 and D5, got T_star={self.T_star!r}, T_m={self.T_m!r}"
                 )
+            if self.r is None or not 0.0 <= self.r < math.inf:
+                raise ConfigError(f"radiative problems need finite r >= 0, got {self.r!r}")
+        # every comparison below also rejects NaN and infinite constants
+        if not (0.0 < self.L_m <= self.L_M < math.inf and 0.0 < self.N_m <= self.N_M < math.inf):
+            raise ConfigError("need 0 < L_m <= L_M < inf and 0 < N_m <= N_M < inf")
+        if not (0.0 <= self.mu_m <= self.mu_M < math.inf):
+            raise ConfigError("need 0 <= mu_m <= mu_M < inf")
+        if not all(0.0 <= c < math.inf for c in (self.L_tilde, self.N_tilde, self.mu_tilde)):
+            raise ConfigError("Lipschitz constants must be non-negative and finite")
+        if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):
+            if self.Ste is None or not 0.0 < self.Ste < math.inf:
+                raise ConfigError(f"{kind.value} problems need finite Ste > 0, got {self.Ste!r}")
+        if kind is BCKind.NEUMANN:
+            if self.q_star is None or not 0.0 < self.q_star < math.inf:
+                raise ConfigError(f"Neumann problems need finite q_star > 0, got {self.q_star!r}")
+            if self.M is None or not 0.0 < self.M < math.inf:
+                raise ConfigError(f"Neumann problems need finite M > 0, got {self.M!r}")
+        if kind in (BCKind.ROBIN, BCKind.RADIATIVE):
+            if self.Bi is None or not 0.0 <= self.Bi < math.inf:
+                raise ConfigError(f"{kind.value} problems need finite Bi >= 0, got {self.Bi!r}")
 
     @property
     def D5(self) -> float | None:
@@ -489,14 +496,6 @@ class DimensionlessProblem:
         if self.bc_kind is not BCKind.RADIATIVE:
             return None
         return 4.0 * (self.T_star - self.T_m) * abs(self.T_star) ** 3
-
-
-def _default_estimate_range(bc: BoundaryCondition) -> tuple[float, float]:
-    if bc.kind is BCKind.NEUMANN:
-        # Neumann profiles have no a-priori range; sample one melting-temperature
-        # span above T_m (requires T_m > 0, checked by the caller).
-        return (bc.T_m, 2.0 * bc.T_m)
-    return (bc.T_m, bc.T_star)
 
 
 def build_dimensionless(
@@ -526,7 +525,9 @@ def build_dimensionless(
     if bounds is None:
         if not allow_estimation:
             raise ConfigError("model has no coefficient bounds and estimation is disabled")
-        bounds = estimate_bounds(model, estimate_range or _default_estimate_range(bc), samples)
+        # Neumann profiles have no a-priori range: sample one melting-temperature span above T_m > 0
+        default_range = (bc.T_m, 2.0 * bc.T_m) if kind is BCKind.NEUMANN else (bc.T_m, bc.T_star)
+        bounds = estimate_bounds(model, estimate_range or default_range, samples)
 
     k0, gamma0 = model.k0, model.rho0 * model.c0
     mu0 = math.sqrt(gamma0 * k0)

@@ -200,15 +200,19 @@ def radiative_self_map_margin(prob: DimensionlessProblem, *, dimensional: bool =
     """Left-hand side of the radiative self-map condition (must be <= 1).
 
     The dimensional restatement replaces T_star^4 by T_star^4 - T_m^4; both
-    variants are reported by the existence certificate.
+    variants are reported by the existence certificate.  A margin that
+    overflows is infinite.
     """
     if prob.bc_kind is not BCKind.RADIATIVE:
         raise ConfigError("self-map margin only applies to radiative problems")
-    fourth = prob.T_star**4 - (prob.T_m**4 if dimensional else 0.0)
-    amp = 2.0 * prob.Bi + prob.r * fourth
-    return amp / (prob.L_m * math.sqrt(prob.N_m / prob.L_M)) * math.sqrt(math.pi) * math.exp(
-        prob.mu_M**2 * prob.L_M / (prob.L_m**2 * prob.N_m)
-    )
+    try:
+        fourth = prob.T_star**4 - (prob.T_m**4 if dimensional else 0.0)
+        amp = 2.0 * prob.Bi + prob.r * fourth
+        return amp / (prob.L_m * math.sqrt(prob.N_m / prob.L_M)) * math.sqrt(math.pi) * math.exp(
+            prob.mu_M**2 * prob.L_M / (prob.L_m**2 * prob.N_m)
+        )
+    except OverflowError:
+        return math.inf
 
 
 def radiative_lipschitz_margin(prob: DimensionlessProblem) -> float:

@@ -10,8 +10,8 @@ step interpolates (regula falsi), truncates the step towards the midpoint,
 and projects it into a ball around the midpoint whose radius shrinks so
 that the bracket never takes more steps than bisection plus one.  On smooth
 functions the interpolation wins and convergence is superlinear; on rough
-ones, or where a bracket end is infinite, the step is the midpoint and the
-method is plain bisection.
+ones, or where the function is infinite at a bracket end, the step is the
+midpoint and the method is plain bisection.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .errors import BracketError
 _KAPPA1 = 0.2
 _KAPPA2 = 2.0
 _N0 = 1
+# widest bracket taken: the step squares the width, which must stay finite
+_MAX_WIDTH = 1e150
 
 
 def bisect_root(
@@ -48,10 +50,13 @@ def bisect_root(
     width is at most 2 ``xtol``: the result is then within ``xtol`` of a
     root.  At most ceil(log2((b - a) / (2 xtol))) + 1 points are evaluated
     besides the ends, whose values may be passed as ``fa`` and ``fb`` when
-    the caller already has them.  Infinite values are allowed; the step is
+    the caller already has them.  The bracket must be finite and at most
+    ``_MAX_WIDTH`` wide; infinite values of fn are allowed, and the step is
     then the midpoint.
     """
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and b - a <= _MAX_WIDTH):
+        raise BracketError(f"bracket [{a!r}, {b!r}] is not finite or wider than {_MAX_WIDTH:g}")
     fa = float(fn(a) if fa is None else fa)
     if abs(fa) <= ftol:
         return a

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -71,7 +72,8 @@ RADIATIVE = {"kind": "radiative", "h": 0.1, "sigma": 1.0, "epsilon": 0.25}
 NAN, INF = float("nan"), float("inf")
 
 # (id, command, config overrides, text the error must contain): each must
-# exit 3 with a message naming the value, never with a traceback
+# exit 3 with a message naming the value, never with a traceback, and
+# leave no result file behind
 UNREADABLE_CONFIGS = [
     ("bc-not-object", "solve", {"bc": "dirichlet"}, "bc must be a JSON object"),
     ("T_star-text", "solve", {"bc": {"kind": "dirichlet", "T_star": "hot"}}, "bc.T_star must be a finite number"),
@@ -82,6 +84,7 @@ UNREADABLE_CONFIGS = [
     ("lambda_max-inf", "solve", {"numerics": {"lambda_max": INF}}, "numerics.lambda_max must be a finite number"),
     ("times-text", "solve", {"outputs": {"times": ["x"]}}, "outputs.times must be a list of finite numbers"),
     ("times-number", "solve", {"outputs": {"times": 1.0}}, "outputs.times must be a list of finite numbers"),
+    ("times-negative", "solve", {"outputs": {"times": [1.0, -1.0]}}, "outputs.times must all be positive"),
     ("nx-negative", "solve", {"outputs": {"nx": -1}}, "nx must be non-negative"),
     ("Pe-text", "solve", {"coefficients": {"family": "constant", "Pe": "x"}}, "coefficients.Pe must be a finite"),
     ("coefficients-list", "solve", {"coefficients": []}, "coefficients must be a JSON object"),
@@ -90,6 +93,9 @@ UNREADABLE_CONFIGS = [
     ("radiative-T_star-1e80", "solve", {"bc": dict(RADIATIVE, T_star=1e80)}, "T_star^4"),
     ("radiative-T_star-1e200", "solve", {"bc": dict(RADIATIVE, T_star=1e200)}, "T_star^4"),
     ("nodes-text", "verify-pde", {"pde": {"nodes": "x"}}, "pde.nodes must be a finite integer"),
+    ("pde-safety", "verify-pde", {"pde": {"safety": 0.4}}, "unknown key(s) ['safety'] in pde block"),
+    ("pde-dt", "verify-pde", {"pde": {"dt": 1e-4}}, "unknown key(s) ['dt'] in pde block"),
+    ("pde-sample_every", "verify-pde", {"pde": {"sample_every": 16}}, "unknown key(s) ['sample_every'] in pde block"),
 ]
 
 
@@ -100,9 +106,41 @@ UNREADABLE_CONFIGS = [
 def test_unreadable_config_values_exit_3(tmp_path, monkeypatch, capsys, command, overrides, message):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "cfg.json", **overrides)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+LINEAR = {"family": "linear", "alpha": 0.1, "beta": 0.1, "Pe": 0.5}
+# base configs whose numeric bc, coefficients and reference keys are perturbed one at a time
+EXTREME_BASES = {
+    "dirichlet-linear": {"bc": {"kind": "dirichlet", "T_star": 2.0}, "coefficients": LINEAR},
+    "neumann-constant": {"bc": {"kind": "neumann", "q": 0.5}, "coefficients": {"family": "constant", "Pe": 0.5}},
+    "robin-linear": {"bc": {"kind": "robin", "h": 0.7, "T_star": 2.0}, "coefficients": LINEAR},
+    "radiative-linear": {"bc": dict(RADIATIVE, h=0.05, sigma=0.05, epsilon=0.05, T_star=2.0), "coefficients": LINEAR},
+}
+EXTREME_REFERENCE = {"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}
+EXTREME_KEYS = [
+    (base, block, key)
+    for base, cfg in EXTREME_BASES.items()
+    for block, keys in (("bc", cfg["bc"]), ("coefficients", cfg["coefficients"]), ("reference", EXTREME_REFERENCE))
+    for key, value in keys.items()
+    if isinstance(value, float)
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300])
+@pytest.mark.parametrize("base, block, key", EXTREME_KEYS, ids=[f"{b}-{k}" for b, _, k in EXTREME_KEYS])
+def test_extreme_finite_values_end_in_an_exit_code(tmp_path, base, block, key, value):
+    cfg = copy.deepcopy(EXTREME_BASES[base])
+    cfg["reference"] = dict(EXTREME_REFERENCE)
+    cfg[block][key] = value
+    path = write_config(tmp_path / "cfg.json", **cfg)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), "--grid", "32", "--quiet"]) in (
+        0, 2, 3, 4,
+    )
 
 
 def test_sweep_value_that_cannot_be_read_becomes_an_error_row(tmp_path):

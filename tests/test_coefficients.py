@@ -65,6 +65,23 @@ def test_radiative_fourth_power_constant():
     assert build_dimensionless(model, Robin(h=0.1, T_star=2.0, T_m=1.0)).D5 is None
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"bc_kind": BCKind.DIRICHLET, "Ste": math.inf},
+        {"bc_kind": BCKind.DIRICHLET, "Ste": math.nan},
+        {"bc_kind": BCKind.DIRICHLET, "Ste": 1.0, "Pe": math.inf},
+        {"bc_kind": BCKind.NEUMANN, "q_star": math.inf, "M": 1.0},
+        {"bc_kind": BCKind.NEUMANN, "q_star": 1.0, "M": math.inf},
+        {"bc_kind": BCKind.ROBIN, "Ste": 1.0, "Bi": math.inf},
+    ],
+    ids=["Ste-inf", "Ste-nan", "mu_M-inf", "q_star-inf", "M-inf", "Bi-inf"],
+)
+def test_non_finite_dimensionless_constants_are_rejected(params):
+    with pytest.raises(ConfigError, match="finite|< inf"):
+        constant_problem(**params)
+
+
 @pytest.mark.parametrize("T_star", [1e80, 1e200, math.inf])
 def test_radiative_T_star_whose_fourth_power_overflows_is_rejected(T_star):
     with pytest.raises(ConfigError, match=r"T_star\^4"):

@@ -102,6 +102,14 @@ def test_degenerate_brackets():
     assert f.calls == 2
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (0.0, 1e300)])
+def test_non_finite_or_too_wide_brackets_are_bracket_errors(a, b):
+    f = counted(lambda x: x - 1.0)
+    with pytest.raises(BracketError, match="not finite or wider"):
+        bisect_root(f, a, b)
+    assert f.calls == 0
+
+
 def test_results_are_plain_floats():
     root = bisect_root(lambda x: np.float64(x) - 0.3, np.float64(0.0), np.float64(1.0), xtol=1e-14)
     assert type(root) is float
