@@ -55,7 +55,7 @@ print(f"front energy balance residual (finite differences): {stefan_residual(sol
 print()
 print("Front-fixed finite-difference march from t = 1 to t = 2:")
 for nodes in (100, 200):
-    d = verify(sol, model, bc, FrontFixedScheme(n_space=nodes, t0=1.0, t1=2.0))
+    d = verify(sol, model, bc, FrontFixedScheme(nodes=nodes, t0=1.0, t1=2.0))
     print(
         f"  {nodes:4d} space nodes, {d.steps:6d} steps: front drift {d.s_rel_final:.2e},"
         f" field drift {d.T_rel_max:.2e}"

@@ -25,7 +25,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .closed_form import dirichlet_constant, neumann_constant
 from .coefficients import (
     BCKind,
     BoundaryCondition,
+    DimensionlessProblem,
     Dirichlet,
     Neumann,
     Radiative,
@@ -57,9 +58,7 @@ _TOP_KEYS = {"bc", "coefficients", "reference", "numerics", "outputs", "sweep", 
 _BC_CLASSES = {cls.kind.value: cls for cls in (Dirichlet, Neumann, Robin, Radiative)}
 _COEF_KEYS = {"constant": {"Pe"}, "linear": {"alpha", "beta", "Pe"}, "table": {"path"}}
 _REFERENCE_KEYS = {"k0", "rho0", "c0", "ell", "T_m"}
-_NUMERICS = {"n": int, "inner_tol": float, "outer_tol": float, "max_iter": int, "lambda_max": float}
 _OUTPUTS_KEYS = {"dir", "times", "nx"}
-_PDE_KEYS = {"nodes", "t0", "t1"}
 _KIND_NAMES = {
     float: "a finite number",
     int: "a finite integer",
@@ -108,13 +107,25 @@ def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+def _from_block(cls, cfg: dict, block_name: str, **overrides):
+    """``cls`` built from a config block whose keys are the fields of ``cls``.
+
+    Each value is read as the type of its field's default; a missing key
+    keeps the default and ``overrides`` replace values read.
+    """
+    block = _read(cfg, block_name, dict, {})
+    defaults = {field.name: field.default for field in fields(cls)}
+    _check_keys(block, defaults, f"{block_name} block")
+    values = {key: _read(block, f"{block_name}.{key}", type(defaults[key])) for key in defaults if key in block}
+    return cls(**{**values, **overrides})
+
+
 @dataclass
 class Problem:
     model: ThermalModel
     bc: BoundaryCondition
-    prob: object
+    prob: DimensionlessProblem
     settings: SolverSettings
-    config: dict
 
 
 def load_config(path: str | Path) -> dict:
@@ -162,23 +173,14 @@ def _build_model(cfg: dict, bc: BoundaryCondition) -> ThermalModel:
     return table_model_from_csv(_read(block, "coefficients.path", str), k0, rho0, c0, ell)
 
 
-def _build_settings(cfg: dict, grid_override: int | None) -> SolverSettings:
-    block = _read(cfg, "numerics", dict, {})
-    _check_keys(block, _NUMERICS, "numerics block")
-    kwargs = {key: _read(block, f"numerics.{key}", kind) for key, kind in _NUMERICS.items() if key in block}
-    if grid_override is not None:
-        kwargs["n"] = grid_override
-    return SolverSettings(**kwargs)
-
-
 def build_problem(cfg: dict, grid_override: int | None = None) -> Problem:
     """Validate a config dict and construct the solvable problem."""
     _check_keys(_read(cfg, "outputs", dict, {}), _OUTPUTS_KEYS, "outputs block")
     bc = _build_bc(cfg)
     model = _build_model(cfg, bc)
-    settings = _build_settings(cfg, grid_override)
-    prob = build_dimensionless(model, bc)
-    return Problem(model=model, bc=bc, prob=prob, settings=settings, config=cfg)
+    grid = {} if grid_override is None else {"n": grid_override}
+    settings = _from_block(SolverSettings, cfg, "numerics", **grid)
+    return Problem(model=model, bc=bc, prob=build_dimensionless(model, bc), settings=settings)
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -347,16 +349,14 @@ def _cmd_sweep(args) -> int:
                 },
             )
         except MeltfrontError as exc:
-            row.update(status=f"error: {exc}", **{
-                "lambda": "", "outer_residual": "", "inner_iterations": "",
-                "front_flux_residual": "", "certified": "",
-            })
+            # the writer leaves the result columns of an error row empty
+            row["status"] = f"error: {exc}"
         return row
 
     fieldnames = ["case", *names, "lambda", "outer_residual", "inner_iterations",
                   "front_flux_residual", "certified", "status"]
     with (outdir / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
         fh.flush()
         # rows are taken in case order; only this thread writes
@@ -375,13 +375,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_pde(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg, args.grid)
-    pde = _read(cfg, "pde", dict, {})
-    _check_keys(pde, _PDE_KEYS, "pde block")
-    scheme = FrontFixedScheme(
-        n_space=_read(pde, "pde.nodes", int, 200),
-        t0=_read(pde, "pde.t0", float, 1.0),
-        t1=_read(pde, "pde.t1", float, 2.0),
-    )
+    scheme = _from_block(FrontFixedScheme, cfg, "pde")
     outdir = _out_dir(cfg, args)
     try:
         report = solve_lambda(problem.prob, problem.settings)
@@ -392,7 +386,7 @@ def _cmd_verify_pde(args) -> int:
         return _failure_exit_code(problem)
     _dump_json(outdir / "verify.json", {
         "lambda": report.lambda_tilde,
-        "scheme": {"nodes": scheme.n_space, "t0": scheme.t0, "t1": scheme.t1},
+        "scheme": asdict(scheme),
         "discrepancy": {
             "s_rel_max": disc.s_rel_max,
             "s_rel_final": disc.s_rel_final,

@@ -63,7 +63,7 @@ class BCKind(str, Enum):
 
 
 def eval_coefficient(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a coefficient callable on an array, tolerating scalar-only callables."""
+    """Evaluate a coefficient callable on a scalar or an array, tolerating scalar-only callables."""
     x = np.asarray(x, dtype=float)
     try:
         y = np.asarray(fn(x), dtype=float)
@@ -149,10 +149,21 @@ class ThermalModel:
         return self.k0 / (self.rho0 * self.c0)
 
 
+def _check_positive(name: str, v: float) -> None:
+    if not (np.isfinite(v) and v > 0.0):
+        raise ConfigError(f"{name} must be a positive finite real, got {v!r}")
+
+
 def _check_reference(k0: float, rho0: float, c0: float, ell: float) -> None:
+    """Reject reference constants, or products of them the reduction divides by, that are not positive and finite.
+
+    Each product is checked before the next one divides by it.
+    """
     for name, v in (("k0", k0), ("rho0", rho0), ("c0", c0), ("ell", ell)):
-        if not (np.isfinite(v) and v > 0.0):
-            raise ConfigError(f"reference constant {name} must be a positive finite real, got {v!r}")
+        _check_positive(f"reference constant {name}", v)
+    _check_positive("reference product rho0*c0", rho0 * c0)
+    _check_positive("reference diffusivity k0/(rho0*c0)", k0 / (rho0 * c0))
+    _check_positive("reference product rho0*c0*k0", rho0 * c0 * k0)
 
 
 def constant_model(k0: float, rho0: float, c0: float, ell: float, Pe: float = 0.0) -> ThermalModel:
@@ -498,14 +509,7 @@ class DimensionlessProblem:
         return 4.0 * (self.T_star - self.T_m) * abs(self.T_star) ** 3
 
 
-def build_dimensionless(
-    model: ThermalModel,
-    bc: BoundaryCondition,
-    *,
-    estimate_range: tuple[float, float] | None = None,
-    samples: int = 257,
-    allow_estimation: bool = True,
-) -> DimensionlessProblem:
+def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> DimensionlessProblem:
     """Reduce a dimensional model plus boundary condition to a DimensionlessProblem.
 
     The coefficient functions are composed through the kind-appropriate
@@ -514,8 +518,8 @@ def build_dimensionless(
     (T_star - T_m for Dirichlet/Robin/radiative, |T_m| for Neumann).
 
     When the model carries no bounds they are estimated by sampling over
-    ``estimate_range`` (defaults to the kind-appropriate span), which marks
-    the result as not analytically certified.
+    the kind-appropriate span, which marks the result as not analytically
+    certified.
     """
     kind = bc.kind
     if kind is BCKind.NEUMANN and not bc.T_m > 0.0:
@@ -523,11 +527,8 @@ def build_dimensionless(
 
     bounds = model.bounds
     if bounds is None:
-        if not allow_estimation:
-            raise ConfigError("model has no coefficient bounds and estimation is disabled")
         # Neumann profiles have no a-priori range: sample one melting-temperature span above T_m > 0
-        default_range = (bc.T_m, 2.0 * bc.T_m) if kind is BCKind.NEUMANN else (bc.T_m, bc.T_star)
-        bounds = estimate_bounds(model, estimate_range or default_range, samples)
+        bounds = estimate_bounds(model, (bc.T_m, 2.0 * bc.T_m) if kind is BCKind.NEUMANN else (bc.T_m, bc.T_star))
 
     k0, gamma0 = model.k0, model.rho0 * model.c0
     mu0 = math.sqrt(gamma0 * k0)
@@ -547,10 +548,12 @@ def build_dimensionless(
         params["T_star"] = bc.T_star
         params["T_m"] = bc.T_m
     if kind is BCKind.NEUMANN:
+        _check_positive("the q* divisor k0*T_m", k0 * bc.T_m)
         params["q_star"] = 2.0 * bc.q * math.sqrt(alpha0) / (k0 * bc.T_m)
-        k_at_melt = float(eval_coefficient(model.k, np.asarray([bc.T_m]))[0])
+        k_at_melt = float(eval_coefficient(model.k, bc.T_m))
         if not k_at_melt > 0.0:
             raise ConfigError(f"k(T_m) must be positive, got {k_at_melt}")
+        _check_positive("the M divisor T_m*c0*k(T_m)", bc.T_m * model.c0 * k_at_melt)
         params["M"] = 2.0 * model.ell * k0 / (bc.T_m * model.c0 * k_at_melt)
         params["T_m"] = bc.T_m
     if kind in (BCKind.ROBIN, BCKind.RADIATIVE):

@@ -16,11 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .coefficients import BCKind, DimensionlessProblem
 from .errors import ConfigError
-from .fixed_point import (
-    contraction_bound,
-    radiative_lipschitz_margin,
-    radiative_self_map_margin,
-)
+from .fixed_point import contraction_bound, radiative_admissibility, radiative_lipschitz_margin
 from .lambda_solver import Bracket, SolverSettings, DEFAULT_SETTINGS, bracket
 from .rootfind import bisect_root
 
@@ -113,13 +109,9 @@ def _flags(prob: DimensionlessProblem, br: Bracket, eps2: float | None) -> dict[
     kind = prob.bc_kind
     flags: dict[str, str] = {}
     if kind in (BCKind.DIRICHLET, BCKind.ROBIN):
-        flags["extra_contraction"] = HOLDS if 2.0 * prob.L_M * prob.L_tilde / prob.L_m**2 < 1.0 else FAILS
+        flags["extra_contraction"] = HOLDS if contraction_at_zero(prob) < 1.0 else FAILS
     if kind is BCKind.RADIATIVE:
-        flags["radiative_self_map"] = HOLDS if radiative_self_map_margin(prob) <= 1.0 else FAILS
-        flags["radiative_self_map_dimensional"] = (
-            HOLDS if radiative_self_map_margin(prob, dimensional=True) < 1.0 else FAILS
-        )
-        flags["radiative_lipschitz"] = HOLDS if radiative_lipschitz_margin(prob) < 1.0 else FAILS
+        flags.update((name, HOLDS if ok else FAILS) for name, ok in radiative_admissibility(prob).items())
     flags["contraction_at_lambda2"] = HOLDS if (eps2 is not None and eps2 < 1.0) else FAILS
     flags["analytic_bracket"] = HOLDS if br.provenance == "analytic" else FAILS
     # mu_m = 0 (no convection floor) is an accepted degenerate regime; nothing

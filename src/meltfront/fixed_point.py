@@ -34,6 +34,7 @@ __all__ = [
     "contraction_bound",
     "radiative_self_map_margin",
     "radiative_lipschitz_margin",
+    "radiative_admissibility",
     "radiative_in_admissible_set",
 ]
 
@@ -225,10 +226,15 @@ def radiative_lipschitz_margin(prob: DimensionlessProblem) -> float:
     return amp / prob.mu_M
 
 
+def radiative_admissibility(prob: DimensionlessProblem) -> dict[str, bool]:
+    """The three radiative hypotheses, keyed by their existence-certificate flag names."""
+    return {
+        "radiative_self_map": radiative_self_map_margin(prob) <= 1.0,
+        "radiative_self_map_dimensional": radiative_self_map_margin(prob, dimensional=True) < 1.0,
+        "radiative_lipschitz": radiative_lipschitz_margin(prob) < 1.0,
+    }
+
+
 def radiative_in_admissible_set(prob: DimensionlessProblem) -> bool:
     """Whether the radiative operator is certified to map [0, 1] profiles into [0, 1]."""
-    return (
-        radiative_self_map_margin(prob) <= 1.0
-        and radiative_self_map_margin(prob, dimensional=True) < 1.0
-        and radiative_lipschitz_margin(prob) < 1.0
-    )
+    return all(radiative_admissibility(prob).values())

@@ -15,7 +15,7 @@ value comes out of one pass and refinement behaves at second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +46,7 @@ EXP_GUARD = 700.0
 class ProfileGrid:
     """A profile sampled on n+1 uniform nodes over [0, lambda].
 
+    The nodes ``xi`` are built from ``lam`` and the length of ``f``.
     Admissible profiles stay in [0, 1] under Dirichlet/Robin/radiative
     conditions; Neumann profiles are only required to be non-negative and may
     exceed 1.  Construction does not enforce either: intermediate iterates
@@ -54,42 +55,27 @@ class ProfileGrid:
 
     lam: float
     f: np.ndarray
-    xi: np.ndarray
+    xi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ConfigError(f"lambda must be a positive finite real, got {self.lam!r}")
-        f = np.asarray(self.f, dtype=float)
+        f = np.array(self.f, dtype=float)
         if f.ndim != 1 or f.size < 2:
             raise ConfigError("profile needs at least two nodes")
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.shape != f.shape:
-            raise ConfigError("xi and f must have the same length")
-        step = self.lam / (f.size - 1)
-        expected = np.arange(f.size) * step
-        if abs(xi[0]) > 1e-12 * self.lam or not np.allclose(xi, expected, rtol=0.0, atol=1e-9 * max(1.0, self.lam)):
-            raise ConfigError("xi must be uniform from 0 to lambda")
-        f = f.copy()
         f.setflags(write=False)
-        xi = xi.copy()
+        xi = np.linspace(0.0, self.lam, f.size)
         xi.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "xi", xi)
 
     @classmethod
-    def from_values(cls, lam: float, f: np.ndarray) -> "ProfileGrid":
-        f = np.asarray(f, dtype=float)
-        return cls(lam, f, np.linspace(0.0, lam, f.size))
-
-    @classmethod
     def linear(cls, lam: float, n: int = DEFAULT_GRID_N) -> "ProfileGrid":
-        xi = np.linspace(0.0, lam, n + 1)
-        return cls(lam, xi / lam, xi)
+        return cls(lam, np.linspace(0.0, lam, n + 1) / lam)
 
     @classmethod
     def constant(cls, lam: float, value: float, n: int = DEFAULT_GRID_N) -> "ProfileGrid":
-        xi = np.linspace(0.0, lam, n + 1)
-        return cls(lam, np.full(n + 1, float(value)), xi)
+        return cls(lam, np.full(n + 1, float(value)))
 
     @property
     def n(self) -> int:
@@ -100,7 +86,7 @@ class ProfileGrid:
         return self.lam / self.n
 
     def with_values(self, f: np.ndarray) -> "ProfileGrid":
-        """The same grid with new node values; the grid itself is not re-validated."""
+        """The same grid with new node values, sharing this grid's ``xi`` instead of rebuilding it."""
         f = np.array(f, dtype=float)
         if f.shape != self.xi.shape:
             raise ConfigError("xi and f must have the same length")

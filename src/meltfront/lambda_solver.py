@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _FALLBACK_EPS = 1e-6
+# points of the scan for the first crossing of V2 with the identity
+_SCAN_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class SolverSettings:
     max_iter: int = 200
     outer_tol: float = 1e-9
     lambda_max: float = 10.0
-    scan_points: int = 1024
 
     def __post_init__(self):
         if self.n < 16:
@@ -67,8 +68,8 @@ class SolverSettings:
             raise ConfigError(f"tolerances must be positive and finite, got {self.inner_tol!r}, {self.outer_tol!r}")
         if not 0.0 < self.lambda_max < math.inf:
             raise ConfigError(f"lambda_max must be positive and finite, got {self.lambda_max!r}")
-        if self.max_iter < 1 or self.scan_points < 8:
-            raise ConfigError("invalid solver settings")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -163,7 +164,7 @@ def v_value(
     if kind is BCKind.DIRICHLET:
         value = 0.5 * prob.Ste * E_lam / phi_lam
     elif kind is BCKind.NEUMANN:
-        L_end = float(eval_coefficient(prob.L_star, np.asarray([inner.profile.f[-1]]))[0])
+        L_end = float(eval_coefficient(prob.L_star, inner.profile.f[-1]))
         value = prob.q_star / (prob.M * L_end) * E_lam
     elif kind is BCKind.ROBIN:
         value = prob.Ste * prob.Bi * E_lam / (1.0 + 2.0 * prob.Bi * phi_lam)
@@ -194,7 +195,7 @@ def bracket(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTI
     lam1 = _lambda1(prob)
     g2 = lambda x: v2_curve(prob, x) - x
     lo = settings.lambda_max * 1e-9
-    intervals = sign_change_intervals(g2, lo, settings.lambda_max, settings.scan_points)
+    intervals = sign_change_intervals(g2, lo, settings.lambda_max, _SCAN_POINTS)
     if not intervals:
         return Bracket(min(lam1, _FALLBACK_EPS), settings.lambda_max, "fallback", 0)
     roots = refine_roots(g2, intervals[:1], xtol=1e-14)
@@ -217,7 +218,7 @@ def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> flo
     if prob.bc_kind is BCKind.NEUMANN:
         target = -prob.M * profile.lam
         return abs(fp - target) / abs(target)
-    L_end = float(eval_coefficient(prob.L_star, np.asarray([f[n]]))[0])
+    L_end = float(eval_coefficient(prob.L_star, f[n]))
     target = 2.0 * profile.lam / prob.Ste
     return abs(L_end * fp - target) / abs(target)
 
@@ -267,7 +268,7 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
     def g(lam: float) -> float:
         f0 = None
         if warm["f"] is not None:
-            f0 = ProfileGrid.from_values(lam, warm["f"])
+            f0 = ProfileGrid(lam, warm["f"])
         value, inner = v_value(prob, lam, settings, f0=f0)
         warm["f"] = inner.profile.f
         evaluated.append((lam, value - lam, inner))

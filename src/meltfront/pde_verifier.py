@@ -33,15 +33,15 @@ __all__ = ["FrontFixedScheme", "PdeDiscrepancy", "verify"]
 
 @dataclass(frozen=True)
 class FrontFixedScheme:
-    """Discretization of the front-fixed strip: n_space intervals, marched over [t0, t1]."""
+    """Discretization of the front-fixed strip: ``nodes`` intervals, marched over [t0, t1]."""
 
-    n_space: int = 200
+    nodes: int = 200
     t0: float = 1.0
     t1: float = 2.0
 
     def __post_init__(self):
-        if self.n_space < 8:
-            raise ConfigError(f"need at least 8 space intervals, got {self.n_space}")
+        if self.nodes < 8:
+            raise ConfigError(f"need at least 8 space intervals, got {self.nodes}")
         if not (self.t0 > 0.0 and self.t1 >= self.t0):
             raise ConfigError(f"need 0 < t0 <= t1, got t0={self.t0}, t1={self.t1}")
 
@@ -64,7 +64,7 @@ def _face_temperature(bc: BoundaryCondition, model, T1, T2, T0_prev, dy, s, t):
         return bc.T_star
     T0 = T0_prev
     for _ in range(8):
-        k0 = float(eval_coefficient(model.k, np.asarray([T0]))[0])
+        k0 = float(eval_coefficient(model.k, T0))
         c = 2.0 * dy * s / (k0 * math.sqrt(t))
         if kind is BCKind.NEUMANN:
             new = (4.0 * T1 - T2 + c * bc.q) / 3.0
@@ -93,7 +93,7 @@ def verify(
     Raises ConvergenceError if the field blows up (non-finite coefficients,
     growth beyond ten times the initial temperature range or non-finite values).
     """
-    n = scheme.n_space
+    n = scheme.nodes
     y = np.linspace(0.0, 1.0, n + 1)
     dy = 1.0 / n
 
@@ -111,7 +111,7 @@ def verify(
     amp = max(float(np.max(T) - np.min(T)), 1e-300)
     T_lo0, T_hi0 = float(np.min(T)), float(np.max(T))
 
-    k_front = float(eval_coefficient(model.k, np.asarray([bc.T_m]))[0])
+    k_front = float(eval_coefficient(model.k, bc.T_m))
     rho_ell = model.rho0 * model.ell
 
     s_rel = s_rel_max = 0.0

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .coefficients import BoundaryCondition, ThermalModel, temperature_of_f
+from .coefficients import BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError
 from .kernels import ProfileGrid
 
@@ -124,7 +124,7 @@ def stefan_residual(sol: PhysicalSolution, model: ThermalModel, t: float) -> flo
     T1 = temperature_at(sol, s - h, t)
     T2 = temperature_at(sol, s - 2.0 * h, t)
     T_x = (3.0 * float(T0) - 4.0 * T1 + T2) / (2.0 * h)
-    k_front = float(np.asarray(model.k(np.asarray([sol.bc.T_m])), dtype=float).ravel()[0])
+    k_front = float(eval_coefficient(model.k, sol.bc.T_m))
     latent = model.rho0 * model.ell * front_speed(sol, t)
     return abs(k_front * T_x + latent) / latent
 

@@ -32,7 +32,7 @@ def bisect_ref(fn, a: float, b: float, tol: float = 1e-14, it: int = 200) -> flo
 
 
 def random_profile(rng: np.random.Generator, lam: float, n: int, lo: float = 0.0, hi: float = 1.0) -> ProfileGrid:
-    return ProfileGrid.from_values(lam, rng.uniform(lo, hi, n + 1))
+    return ProfileGrid(lam, rng.uniform(lo, hi, n + 1))
 
 
 @pytest.fixture

@@ -196,8 +196,8 @@ def test_criterion_09_pde_cross_check():
     bc = Dirichlet(T_star=2.0, T_m=1.0)
     report = solve_lambda(build_dimensionless(model, bc))
     sol = physical_solution(report, model, bc)
-    d200 = verify(sol, model, bc, FrontFixedScheme(n_space=200, t0=1.0, t1=2.0))
-    d400 = verify(sol, model, bc, FrontFixedScheme(n_space=400, t0=1.0, t1=2.0))
+    d200 = verify(sol, model, bc, FrontFixedScheme(nodes=200, t0=1.0, t1=2.0))
+    d400 = verify(sol, model, bc, FrontFixedScheme(nodes=400, t0=1.0, t1=2.0))
     assert d200.s_rel_max <= 1e-2
     assert d400.s_rel_max <= 5e-3
     ratio = d200.s_rel_final / d400.s_rel_final

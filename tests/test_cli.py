@@ -1,5 +1,6 @@
 import copy
 import csv
+import itertools
 import json
 
 import pytest
@@ -96,6 +97,8 @@ UNREADABLE_CONFIGS = [
     ("pde-safety", "verify-pde", {"pde": {"safety": 0.4}}, "unknown key(s) ['safety'] in pde block"),
     ("pde-dt", "verify-pde", {"pde": {"dt": 1e-4}}, "unknown key(s) ['dt'] in pde block"),
     ("pde-sample_every", "verify-pde", {"pde": {"sample_every": 16}}, "unknown key(s) ['sample_every'] in pde block"),
+    ("numerics-scan_points", "solve", {"numerics": {"scan_points": 128}}, "unknown key(s) ['scan_points'] in numerics"),
+    ("pde-n_space", "verify-pde", {"pde": {"n_space": 40}}, "unknown key(s) ['n_space'] in pde block"),
 ]
 
 
@@ -137,6 +140,25 @@ def test_extreme_finite_values_end_in_an_exit_code(tmp_path, base, block, key, v
     cfg = copy.deepcopy(EXTREME_BASES[base])
     cfg["reference"] = dict(EXTREME_REFERENCE)
     cfg[block][key] = value
+    path = write_config(tmp_path / "cfg.json", **cfg)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), "--grid", "32", "--quiet"]) in (
+        0, 2, 3, 4,
+    )
+
+
+# pairs of reference constants whose products or quotients underflow or overflow
+REFERENCE_PAIRS = [
+    (base, key_a, key_b)
+    for base in ("dirichlet-linear", "neumann-constant", "robin-linear")
+    for key_a, key_b in itertools.combinations(EXTREME_REFERENCE, 2)
+]
+
+
+@pytest.mark.parametrize("value_a, value_b", list(itertools.product([5e-324, 1e-300, 1e300], repeat=2)))
+@pytest.mark.parametrize("base, key_a, key_b", REFERENCE_PAIRS, ids=["-".join(case) for case in REFERENCE_PAIRS])
+def test_extreme_reference_pairs_end_in_an_exit_code(tmp_path, base, key_a, key_b, value_a, value_b):
+    cfg = copy.deepcopy(EXTREME_BASES[base])
+    cfg["reference"] = dict(EXTREME_REFERENCE, **{key_a: value_a, key_b: value_b})
     path = write_config(tmp_path / "cfg.json", **cfg)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), "--grid", "32", "--quiet"]) in (
         0, 2, 3, 4,
@@ -234,6 +256,14 @@ def test_verify_pde_quick_run(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["discrepancy"]["s_rel_max"] <= 5e-3
     assert payload["discrepancy"]["steps"] > 0
+
+
+def test_verify_pde_without_pde_block_uses_the_scheme_defaults(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", reference={"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 2.0, "T_m": 1.0})
+    out = tmp_path / "out"
+    assert main(["verify-pde", "--config", str(cfg), "--out", str(out), "--grid", "64", "--quiet"]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["scheme"] == {"nodes": 200, "t0": 1.0, "t1": 2.0}
 
 
 def test_grid_override(tmp_path):

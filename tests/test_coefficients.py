@@ -226,11 +226,9 @@ def test_estimate_bounds_rejects_nonpositive_coefficient():
         estimate_bounds(model, (1.0, 2.0), samples=17)
 
 
-def test_estimation_disabled_requires_bounds():
+def test_model_without_bounds_gets_sampled_bounds():
     T = np.linspace(1.0, 2.0, 5)
     model = table_model(T, np.full(5, 2.0), np.full(5, 1.0), np.zeros(5), 2.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ConfigError, match="estimation is disabled"):
-        build_dimensionless(model, Dirichlet(T_star=2.0, T_m=1.0), allow_estimation=False)
     prob = build_dimensionless(model, Dirichlet(T_star=2.0, T_m=1.0))
     assert not prob.bounds_certified
 

@@ -6,12 +6,13 @@ from meltfront import (
     BCKind,
     ProfileGrid,
     apply_operator,
+    certify,
     constant_problem,
     contraction_bound,
     linear_problem,
     solve_profile,
 )
-from meltfront.existence import lambda_bar
+from meltfront.existence import HOLDS, lambda_bar
 from meltfront.fixed_point import (
     radiative_in_admissible_set,
     radiative_lipschitz_margin,
@@ -161,6 +162,31 @@ def test_radiative_hypothesis_margins():
         BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.3, Ste=0.5, Bi=3.0, r=0.05, T_star=2.0, T_m=1.0
     )
     assert not radiative_in_admissible_set(bad)
+
+
+RADIATIVE_FLAGS = ("radiative_self_map", "radiative_self_map_dimensional", "radiative_lipschitz")
+# (Bi, r, Pe) on the linear family alpha = beta = 0.05, and which of RADIATIVE_FLAGS hold; the
+# dimensional self-map margin never exceeds the other one, so it cannot fail on its own
+RADIATIVE_HYPOTHESES = [
+    ((0.05, 0.005, 0.3), (True, True, True)),
+    ((0.0, 0.0112, 1.0), (False, True, True)),
+    ((0.05, 0.0135, 1.0), (False, False, True)),
+    ((0.05, 0.005, 30.0), (False, False, True)),  # the self-map margin overflows
+    ((0.0, 0.0135, 0.3), (True, True, False)),
+    ((0.05, 0.005, 0.0), (True, True, False)),  # mu_M = 0
+    ((3.0, 0.05, 0.3), (False, False, False)),
+]
+
+
+@pytest.mark.parametrize("params, holds", RADIATIVE_HYPOTHESES)
+def test_clamp_rule_agrees_with_the_certificate(params, holds):
+    Bi, r, Pe = params
+    prob = linear_problem(
+        BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=Pe, Ste=0.5, Bi=Bi, r=r, T_star=2.0, T_m=1.0
+    )
+    flags = certify(prob).hypothesis_flags
+    assert tuple(flags[name] == HOLDS for name in RADIATIVE_FLAGS) == holds
+    assert radiative_in_admissible_set(prob) == all(holds)
 
 
 def test_radiative_escape_is_flagged_and_clamped():

@@ -135,7 +135,7 @@ def test_no_sign_change_diagnostics():
     # zero exchange: V is identically 0, so no front coefficient exists
     prob = constant_problem(BCKind.RADIATIVE, Pe=0.5, Ste=1.0, Bi=0.0, r=0.0, T_star=2.0, T_m=1.0)
     with pytest.raises(ConvergenceError, match="no sign change"):
-        solve_lambda(prob, SolverSettings(n=64, scan_points=128))
+        solve_lambda(prob, SolverSettings(n=64))
 
 
 def test_inner_failure_carries_lambda(linear_dirichlet):

@@ -25,7 +25,7 @@ def dirichlet_case():
 
 def test_zero_horizon_zero_discrepancy(dirichlet_case):
     model, bc, sol = dirichlet_case
-    d = verify(sol, model, bc, FrontFixedScheme(n_space=40, t0=1.0, t1=1.0))
+    d = verify(sol, model, bc, FrontFixedScheme(nodes=40, t0=1.0, t1=1.0))
     assert d.steps == 0
     assert d.s_rel_final == 0.0
     assert d.T_rel_max == 0.0
@@ -33,7 +33,7 @@ def test_zero_horizon_zero_discrepancy(dirichlet_case):
 
 def test_short_run_consistency(dirichlet_case):
     model, bc, sol = dirichlet_case
-    d = verify(sol, model, bc, FrontFixedScheme(n_space=60, t0=1.0, t1=1.1))
+    d = verify(sol, model, bc, FrontFixedScheme(nodes=60, t0=1.0, t1=1.1))
     assert d.s_rel_max <= 2e-3
     assert d.T_rel_max <= 2e-3
 
@@ -42,7 +42,7 @@ def test_refinement_roughly_halves_front_error(dirichlet_case):
     model, bc, sol = dirichlet_case
     errs = {}
     for nodes in (50, 100, 200):
-        d = verify(sol, model, bc, FrontFixedScheme(n_space=nodes, t0=1.0, t1=1.2))
+        d = verify(sol, model, bc, FrontFixedScheme(nodes=nodes, t0=1.0, t1=1.2))
         errs[nodes] = d.s_rel_final
     assert errs[50] > errs[100] > errs[200]  # monotone under refinement
     for coarse, fine in ((50, 100), (100, 200)):
@@ -55,7 +55,7 @@ def test_robin_face_update(dirichlet_case_model=None):
     bc = Robin(h=1.0, T_star=2.0, T_m=1.0)
     report = solve_lambda(build_dimensionless(model, bc))
     sol = physical_solution(report, model, bc)
-    d = verify(sol, model, bc, FrontFixedScheme(n_space=50, t0=1.0, t1=1.05))
+    d = verify(sol, model, bc, FrontFixedScheme(nodes=50, t0=1.0, t1=1.05))
     assert d.s_rel_max <= 2e-3
     assert d.T_rel_max <= 2e-3
 
@@ -74,4 +74,4 @@ def test_non_finite_coefficient_triggers_instability_abort(dirichlet_case):
         bounds=model.bounds,
     )
     with pytest.raises(ConvergenceError, match="unstable"):
-        verify(sol, broken, bc, FrontFixedScheme(n_space=40, t0=1.0, t1=1.2))
+        verify(sol, broken, bc, FrontFixedScheme(nodes=40, t0=1.0, t1=1.2))

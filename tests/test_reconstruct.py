@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from meltfront import (
     Neumann,
     ProfileGrid,
     SolverSettings,
+    ThermalModel,
     build_dimensionless,
     constant_model,
     export_field_csv,
@@ -102,6 +104,19 @@ def test_stefan_residual_refines_with_grid():
     assert r_coarse / r_fine >= 3.0
 
 
+def test_stefan_residual_takes_scalar_only_coefficients():
+    # math.tanh and math.cos take one value only; the solve accepts such callables, so the residual must too
+    model = ThermalModel(
+        k=lambda T: 1.0 + 0.1 * math.tanh(T - 1.0),
+        rho_c=lambda T: 1.0 + 0.05 * math.tanh(T - 1.0),
+        mu=lambda T: 0.3 * math.cos(T - 1.0),
+        k0=1.0, rho0=1.0, c0=1.0, ell=1.0,
+    )
+    bc = Dirichlet(T_star=2.0, T_m=1.0)
+    sol = physical_solution(solve_lambda(build_dimensionless(model, bc), SolverSettings(n=128)), model, bc)
+    assert 0.0 <= stefan_residual(sol, model, 1.0) <= 1e-3
+
+
 def test_csv_exports(tmp_path, dirichlet_case):
     _, _, sol = dirichlet_case
     field = export_field_csv(sol, tmp_path / "field.csv", times=[1.0, 2.0], nx=11)
@@ -130,7 +145,7 @@ def test_profile_at_and_beyond_the_front_is_the_front_node_value(rng):
         n = int(rng.integers(16, 600))
         f = np.sort(rng.uniform(0.0, 1.0, n + 1))
         f[-1] = 1.0
-        sol = PhysicalSolution(lambda_tilde=lam, alpha0=1.0, bc=bc, profile=ProfileGrid.from_values(lam, f))
+        sol = PhysicalSolution(lambda_tilde=lam, alpha0=1.0, bc=bc, profile=ProfileGrid(lam, f))
         assert sol.f_at(lam) == f[-1]
         assert sol.f_at(2.0 * lam) == f[-1]
         assert np.all(sol.f_at(np.array([lam, 1.5 * lam])) == f[-1])
