@@ -20,7 +20,7 @@ from scipy.special import erf
 
 from .coefficients import BCKind
 from .errors import BracketError, ConfigError
-from .rootfind import bisect_root, refine_roots, sign_change_intervals
+from .rootfind import bisect_root, sign_change_intervals
 
 __all__ = ["ClosedFormSolution", "dirichlet_constant", "neumann_constant"]
 
@@ -96,9 +96,12 @@ def neumann_constant(
     intervals = sign_change_intervals(resid, lambda_max * 1e-12, lambda_max, 1024)
     if not intervals:
         raise BracketError(f"no front coefficient below {lambda_max} for load={load}, Pe={Pe}")
-    roots = tuple(refine_roots(resid, intervals, xtol=1e-14))
+    roots = tuple(bisect_root(resid, a, b, xtol=1e-14) for a, b in intervals)
     lam = roots[0]
-    amp = q_star * math.sqrt(math.pi) * math.exp(Pe**2) / 2.0
+    try:
+        amp = q_star * math.sqrt(math.pi) * math.exp(Pe**2) / 2.0
+    except OverflowError:
+        raise ConfigError(f"the closed-form profile amplitude exp(Pe^2) overflows at Pe={Pe!r}") from None
 
     def profile(xi):
         return amp * (erf(Pe - np.asarray(xi, dtype=float)) - erf(Pe - lam))

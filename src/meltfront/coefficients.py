@@ -559,6 +559,9 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
     if kind in (BCKind.ROBIN, BCKind.RADIATIVE):
         params["Bi"] = bc.h * math.sqrt(alpha0) / k0
     if kind is BCKind.RADIATIVE:
+        # an infinite divisor (T_star = inf) is left to the T_star^4 check
+        if not k0 * (bc.T_star - bc.T_m) > 0.0:
+            raise ConfigError(f"the r divisor k0*(T_star-T_m) underflows to 0 at k0={k0!r}, T_star={bc.T_star!r}")
         params["r"] = 2.0 * bc.sigma * bc.epsilon * math.sqrt(alpha0) / (k0 * (bc.T_star - bc.T_m))
 
     return DimensionlessProblem(

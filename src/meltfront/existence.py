@@ -15,8 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .coefficients import BCKind, DimensionlessProblem
-from .errors import ConfigError
-from .fixed_point import contraction_bound, radiative_admissibility, radiative_lipschitz_margin
+from .fixed_point import contraction_bound_or_inf, radiative_admissibility
 from .lambda_solver import Bracket, SolverSettings, DEFAULT_SETTINGS, bracket
 from .rootfind import bisect_root
 
@@ -25,7 +24,6 @@ __all__ = [
     "FAILS",
     "NOT_APPLICABLE",
     "ExistenceReport",
-    "contraction_at_zero",
     "lambda_bar",
     "certify",
     "report_as_dict",
@@ -42,7 +40,8 @@ class ExistenceReport:
 
     ``certified`` is True exactly when no applicable hypothesis fails (which
     includes the contraction bound being below 1 at the bracket's upper
-    end).  ``basis`` records whether the coefficient bounds behind the
+    end).  ``epsilon_at_lambda2`` is None where that bound is undefined or
+    overflows.  ``basis`` records whether the coefficient bounds behind the
     constants are analytic for the family or sampled estimates; a certificate
     on sampled bounds is heuristic, not a proof.
     """
@@ -57,23 +56,6 @@ class ExistenceReport:
     basis: str
 
 
-def contraction_at_zero(prob: DimensionlessProblem) -> float:
-    """Limit of the contraction bound as z -> 0 (infinite for radiative mu_M = 0)."""
-    kind = prob.bc_kind
-    if kind in (BCKind.DIRICHLET, BCKind.ROBIN):
-        return 2.0 * prob.L_M * prob.L_tilde / prob.L_m**2
-    if kind is BCKind.NEUMANN:
-        return 0.0
-    return radiative_lipschitz_margin(prob)
-
-
-def _bound_or_inf(prob: DimensionlessProblem, z: float) -> float:
-    try:
-        return contraction_bound(prob, z)
-    except (OverflowError, ConfigError):
-        return math.inf
-
-
 def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
     """Unique root of (contraction bound) = 1, with a reason when it does not exist.
 
@@ -83,12 +65,11 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
     identically zero bound (constant coefficients) means unconditional
     contraction and is reported as an absent threshold with that note.
     """
-    try:
-        e0 = contraction_at_zero(prob)
-    except ConfigError:
-        return None, "contraction bound undefined (mu_M = 0)"
-    if not math.isfinite(e0):
-        return None, "contraction bound undefined (mu_M = 0)"
+    e0 = contraction_bound_or_inf(prob, 0.0)
+    if e0 == math.inf:
+        if prob.bc_kind is BCKind.RADIATIVE and prob.mu_M == 0.0:
+            return None, "contraction bound undefined (mu_M = 0)"
+        return None, "contraction bound overflows already at z = 0"
     if e0 >= 1.0:
         return None, f"contraction bound is {e0:.6g} >= 1 already at z = 0"
     no_lipschitz = prob.L_tilde == prob.N_tilde == prob.mu_tilde == 0.0
@@ -96,23 +77,23 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
         return None, "unconditional contraction (bound never reaches 1)"
     hi = 1.0
     for _ in range(64):
-        if _bound_or_inf(prob, hi) > 1.0:
+        if contraction_bound_or_inf(prob, hi) > 1.0:
             break
         hi *= 2.0
     else:
         return None, "unconditional contraction (bound never reaches 1)"
-    root = bisect_root(lambda z: _bound_or_inf(prob, z) - 1.0, 0.0, hi, xtol=1e-14)
+    root = bisect_root(lambda z: contraction_bound_or_inf(prob, z) - 1.0, 0.0, hi, xtol=1e-14)
     return root, None
 
 
-def _flags(prob: DimensionlessProblem, br: Bracket, eps2: float | None) -> dict[str, str]:
+def _flags(prob: DimensionlessProblem, br: Bracket, eps2: float) -> dict[str, str]:
     kind = prob.bc_kind
     flags: dict[str, str] = {}
     if kind in (BCKind.DIRICHLET, BCKind.ROBIN):
-        flags["extra_contraction"] = HOLDS if contraction_at_zero(prob) < 1.0 else FAILS
+        flags["extra_contraction"] = HOLDS if contraction_bound_or_inf(prob, 0.0) < 1.0 else FAILS
     if kind is BCKind.RADIATIVE:
         flags.update((name, HOLDS if ok else FAILS) for name, ok in radiative_admissibility(prob).items())
-    flags["contraction_at_lambda2"] = HOLDS if (eps2 is not None and eps2 < 1.0) else FAILS
+    flags["contraction_at_lambda2"] = HOLDS if eps2 < 1.0 else FAILS
     flags["analytic_bracket"] = HOLDS if br.provenance == "analytic" else FAILS
     # mu_m = 0 (no convection floor) is an accepted degenerate regime; nothing
     # in the certificate chain uses mu_m, so it is informational only.
@@ -123,10 +104,7 @@ def _flags(prob: DimensionlessProblem, br: Bracket, eps2: float | None) -> dict[
 def certify(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> ExistenceReport:
     """Evaluate every applicable hypothesis and assemble the certificate."""
     br = bracket(prob, settings)
-    try:
-        eps2 = contraction_bound(prob, br.lambda2)
-    except (OverflowError, ConfigError):
-        eps2 = None
+    eps2 = contraction_bound_or_inf(prob, br.lambda2)
     lb, note = lambda_bar(prob)
     flags = _flags(prob, br, eps2)
     certified = all(v != FAILS for v in flags.values())
@@ -135,7 +113,7 @@ def certify(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTI
         lambda_bar=lb,
         lambda_bar_note=note,
         bracket=br,
-        epsilon_at_lambda2=eps2,
+        epsilon_at_lambda2=eps2 if eps2 < math.inf else None,
         hypothesis_flags=flags,
         certified=certified,
         basis="analytic" if prob.bounds_certified else "sampled",

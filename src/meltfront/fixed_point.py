@@ -32,8 +32,8 @@ __all__ = [
     "apply_operator",
     "solve_profile",
     "contraction_bound",
+    "contraction_bound_or_inf",
     "radiative_self_map_margin",
-    "radiative_lipschitz_margin",
     "radiative_admissibility",
     "radiative_in_admissible_set",
 ]
@@ -50,9 +50,9 @@ class InnerResult:
     returned profile.  ``contraction_observed`` is the largest ratio of
     successive residuals (None until at least two residuals exist);
     ``theoretical_rate`` is the matching contraction bound at lambda when it
-    is defined.  Radiative iterates are clamped to [0, 1] only when the
-    admissibility hypotheses fail; ``escaped_unit_interval`` records whether
-    any raw iterate actually left [0, 1].
+    is defined and finite.  Radiative iterates are clamped to [0, 1] only
+    when the admissibility hypotheses fail; ``escaped_unit_interval``
+    records whether any raw iterate actually left [0, 1].
     """
 
     profile: ProfileGrid
@@ -159,17 +159,14 @@ def solve_profile(
             worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
         prev_residual = residual
         if residual <= tol or iterations >= max_iter:
-            try:
-                rate = contraction_bound(prob, lam)
-            except ConfigError:
-                rate = None
+            rate = contraction_bound_or_inf(prob, lam)
             return InnerResult(
                 profile=current,
                 iterations=iterations,
                 residual=residual,
                 converged=residual <= tol,
                 contraction_observed=worst_ratio,
-                theoretical_rate=rate,
+                theoretical_rate=rate if rate < math.inf else None,
                 kernels=kernels,
                 clamped=did_clamp,
                 escaped_unit_interval=escaped,
@@ -197,6 +194,20 @@ def contraction_bound(prob: DimensionlessProblem, z: float) -> float:
     return head + tail
 
 
+def contraction_bound_or_inf(prob: DimensionlessProblem, z: float) -> float:
+    """The contraction bound, or inf where it is undefined (radiative mu_M = 0) or overflows.
+
+    Every certificate decision reads the bound through this function, so an
+    undefined or overflowing bound always counts as "not below 1".
+    """
+    try:
+        bound = contraction_bound(prob, z)
+    except (OverflowError, ConfigError):
+        return math.inf
+    # an overflowed factor times z = 0 gives NaN, not inf
+    return bound if math.isfinite(bound) else math.inf
+
+
 def radiative_self_map_margin(prob: DimensionlessProblem, *, dimensional: bool = False) -> float:
     """Left-hand side of the radiative self-map condition (must be <= 1).
 
@@ -216,22 +227,13 @@ def radiative_self_map_margin(prob: DimensionlessProblem, *, dimensional: bool =
         return math.inf
 
 
-def radiative_lipschitz_margin(prob: DimensionlessProblem) -> float:
-    """(2 Bi + r D5) / mu_M, infinite when mu_M = 0 (must be < 1)."""
-    if prob.bc_kind is not BCKind.RADIATIVE:
-        raise ConfigError("Lipschitz margin only applies to radiative problems")
-    amp = 2.0 * prob.Bi + prob.r * prob.D5
-    if prob.mu_M == 0.0:
-        return math.inf
-    return amp / prob.mu_M
-
-
 def radiative_admissibility(prob: DimensionlessProblem) -> dict[str, bool]:
     """The three radiative hypotheses, keyed by their existence-certificate flag names."""
     return {
         "radiative_self_map": radiative_self_map_margin(prob) <= 1.0,
         "radiative_self_map_dimensional": radiative_self_map_margin(prob, dimensional=True) < 1.0,
-        "radiative_lipschitz": radiative_lipschitz_margin(prob) < 1.0,
+        # at z = 0 the bound is (2 Bi + r D5) / mu_M
+        "radiative_lipschitz": contraction_bound_or_inf(prob, 0.0) < 1.0,
     }
 
 

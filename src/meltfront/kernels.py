@@ -99,25 +99,12 @@ class ProfileGrid:
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Node values of E and Phi for one profile, and of U and I on demand.
+    """Node values of E and Phi for one profile, and the exponents of U and I."""
 
-    The solver needs only E and Phi; U and I are rebuilt from their
-    exponents when read.
-    """
-
-    xi: np.ndarray
     log_U: np.ndarray
     log_I: np.ndarray
     E: np.ndarray
     Phi: np.ndarray
-
-    @property
-    def U(self) -> np.ndarray:
-        return np.exp(self.log_U)
-
-    @property
-    def I(self) -> np.ndarray:
-        return np.exp(self.log_I)
 
     @property
     def phi_lam(self) -> float:
@@ -149,7 +136,7 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
         # sum of finite values falls through to the exact test
         if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ConfigError(f"{name} returned a non-finite value at node {bad} (xi={xi[bad]!r})")
+            raise ConfigError(f"{name} returned a non-finite value at node {bad} (xi={float(xi[bad])!r})")
     if L.min() <= 0.0:
         bad = int(np.flatnonzero(L <= 0.0)[0])
         raise ConfigError(f"L* must be positive, got {L[bad]!r} at node {bad}")
@@ -164,13 +151,13 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
         bad = int(np.argmax(which))
         raise KernelOverflowError(
             f"kernel exponent {worst:.3g} exceeds the overflow guard {EXP_GUARD:g} at node {bad}"
-            f" (xi={xi[bad]!r}); the profile or coefficients are out of range",
+            f" (xi={float(xi[bad])!r}); the profile or coefficients are out of range",
             node=bad,
             exponent=worst,
         )
     E = np.exp(exp_u - exp_i)
     Phi = _cumulative_trapezoid(E / L, step)
-    return KernelEval(xi=xi, log_U=exp_u, log_I=exp_i, E=E, Phi=Phi)
+    return KernelEval(log_U=exp_u, log_I=exp_i, E=E, Phi=Phi)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
 from .errors import ConfigError, ConvergenceError
 from .fixed_point import InnerResult, _radiative_g0, solve_profile
 from .kernels import DEFAULT_GRID_N, ProfileGrid
-from .rootfind import bisect_root, refine_roots, sign_change_intervals
+from .rootfind import bisect_root, sign_change_intervals
 
 __all__ = [
     "SolverSettings",
@@ -101,39 +101,37 @@ class Bracket:
 
 
 def v1_curve(prob: DimensionlessProblem, lam: float) -> float:
-    """Lower sandwich curve (identically 0 for Robin/radiative problems)."""
+    """Lower sandwich curve (identically 0 for Robin/radiative problems).
+
+    The Neumann curve uses E's lower envelope without its convection factor
+    exp(2 lam mu_m / L_M) >= 1.
+    """
     kind = prob.bc_kind
     if kind is BCKind.DIRICHLET:
         return prob.Ste * prob.mu_M * math.exp(-2.0 * lam * prob.mu_M / prob.L_m - 2.0 * lam**2 * prob.N_M / prob.L_m)
     if kind is BCKind.NEUMANN:
-        return prob.q_star / (prob.M * prob.L_M) * math.exp(-(lam**2) * prob.N_M / prob.L_M)
+        return prob.q_star / (prob.M * prob.L_M) * math.exp(-(lam**2) * prob.N_M / prob.L_m)
     return 0.0
 
 
 def v2_curve(prob: DimensionlessProblem, lam):
-    """Upper sandwich curve for the boundary condition in play.
+    """Upper sandwich curve: E's upper envelope times the prefactor of each condition.
 
     Takes a float or an array of lambdas and returns the same kind.
     """
     lam = np.asarray(lam, dtype=float)
+    E_upper = np.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M)
     kind = prob.bc_kind
     if kind is BCKind.NEUMANN:
-        value = prob.q_star / (prob.M * prob.L_m) * np.exp(
-            2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_M / prob.L_m
-        )
+        value = prob.q_star / (prob.M * prob.L_m) * E_upper
     elif kind is BCKind.RADIATIVE:
-        amp = prob.Ste * (2.0 * prob.Bi + prob.r * prob.T_star**4) / 2.0
-        value = amp * np.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M)
+        value = prob.Ste * (2.0 * prob.Bi + prob.r * prob.T_star**4) / 2.0 * E_upper
     else:
-        # Dirichlet and Robin share the erf-based envelope
+        # Dirichlet and Robin share the erf-based Phi lower envelope
         scale = prob.Ste / math.sqrt(math.pi) * math.sqrt(prob.N_M / prob.L_m) * prob.L_M
         denom = erf(math.sqrt(prob.N_M / prob.L_m) * lam)
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(
-                denom == 0.0,
-                math.inf,
-                scale * np.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M) / denom,
-            )
+            value = np.where(denom == 0.0, math.inf, scale * E_upper / denom)
     return float(value) if value.ndim == 0 else value
 
 
@@ -198,8 +196,8 @@ def bracket(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTI
     intervals = sign_change_intervals(g2, lo, settings.lambda_max, _SCAN_POINTS)
     if not intervals:
         return Bracket(min(lam1, _FALLBACK_EPS), settings.lambda_max, "fallback", 0)
-    roots = refine_roots(g2, intervals[:1], xtol=1e-14)
-    return Bracket(lam1, max(roots[0], lam1), "analytic", max(len(intervals) - 1, 0))
+    lam2 = bisect_root(g2, *intervals[0], xtol=1e-14)
+    return Bracket(lam1, max(lam2, lam1), "analytic", max(len(intervals) - 1, 0))
 
 
 def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .coefficients import BCKind, BoundaryCondition, ThermalModel, eval_coefficient
+from .coefficients import BCKind, BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError, ConvergenceError
 from .reconstruct import PhysicalSolution, front_position
 
@@ -99,12 +99,11 @@ def verify(
 
     t = scheme.t0
     s = front_position(sol, t)
-    lam = sol.lambda_tilde
     alpha0 = sol.alpha0
 
     def similarity_T():
         xi = y * s / (2.0 * math.sqrt(alpha0 * t))
-        return np.asarray(sol.temperature_of_f(sol.f_at(np.minimum(xi, lam))), dtype=float)
+        return np.asarray(temperature_of_f(sol.bc, sol.f_at(xi)), dtype=float)
 
     T = similarity_T()
     T[-1] = bc.T_m

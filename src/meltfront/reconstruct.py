@@ -67,9 +67,6 @@ class PhysicalSolution:
         # value by an ulp, enough to leave [0, 1]
         return np.where(np.asarray(xi) >= lam, self.profile.f[-1], self._interp(np.clip(xi, 0.0, lam)))
 
-    def temperature_of_f(self, f):
-        return temperature_of_f(self.bc, f)
-
 
 def physical_solution(report, model: ThermalModel, bc: BoundaryCondition) -> PhysicalSolution:
     """Tie a SolveReport back to its dimensional model and boundary condition."""
@@ -108,7 +105,7 @@ def temperature_at(sol: PhysicalSolution, x: float, t: float) -> float | None:
         raise ConfigError(f"x must be non-negative, got {x}")
     if xi > sol.lambda_tilde * (1.0 + _FRONT_TOL):
         return None
-    return float(sol.temperature_of_f(sol.f_at(xi)))
+    return float(temperature_of_f(sol.bc, sol.f_at(xi)))
 
 
 def stefan_residual(sol: PhysicalSolution, model: ThermalModel, t: float) -> float:
@@ -120,7 +117,7 @@ def stefan_residual(sol: PhysicalSolution, model: ThermalModel, t: float) -> flo
     """
     s = front_position(sol, t)
     h = s * sol.profile.step / sol.profile.lam
-    T0 = sol.temperature_of_f(sol.f_at(sol.profile.lam))
+    T0 = temperature_of_f(sol.bc, sol.f_at(sol.profile.lam))
     T1 = temperature_at(sol, s - h, t)
     T2 = temperature_at(sol, s - 2.0 * h, t)
     T_x = (3.0 * float(T0) - 4.0 * T1 + T2) / (2.0 * h)
@@ -140,7 +137,7 @@ def export_field_csv(sol: PhysicalSolution, path: str | Path, times: Sequence[fl
         for t in times:
             t = float(t)
             x = np.linspace(0.0, front_position(sol, t), nx)
-            T = sol.temperature_of_f(sol.f_at(_similarity_variable(sol, x, t)))
+            T = temperature_of_f(sol.bc, sol.f_at(_similarity_variable(sol, x, t)))
             writer.writerows([repr(float(xj)), repr(t), repr(float(Tj))] for xj, Tj in zip(x, T))
     return path
 

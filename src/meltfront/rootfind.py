@@ -17,7 +17,7 @@ midpoint and the method is plain bisection.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -127,17 +127,3 @@ def sign_change_intervals(
         brackets.append((x, x) if signs[i] == 0.0 else (float(xs[i - 1]), x))
     return brackets
 
-
-def refine_roots(
-    fn: Callable[[float], float],
-    brackets: Sequence[tuple[float, float]],
-    *,
-    xtol: float = 1e-13,
-) -> list[float]:
-    roots = []
-    for a, b in brackets:
-        if a == b:
-            roots.append(a)
-        else:
-            roots.append(bisect_root(fn, a, b, xtol=xtol))
-    return roots

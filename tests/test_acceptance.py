@@ -126,8 +126,8 @@ def test_criterion_05_kernel_envelope_suite():
             ke = eval_kernels(prof, prob)
             env = kernel_bounds(lam, prob, n=256)
             for arr, lo, hi in (
-                (ke.U, env.U_lower, env.U_upper),
-                (ke.I, env.I_lower, env.I_upper),
+                (np.exp(ke.log_U), env.U_lower, env.U_upper),
+                (np.exp(ke.log_I), env.I_lower, env.I_upper),
                 (ke.E, env.E_lower, env.E_upper),
                 (ke.Phi, env.Phi_lower, env.Phi_upper),
             ):
@@ -213,5 +213,5 @@ def test_criterion_10_no_convection_regression():
     fixed_point_defect = float(np.max(np.abs(image.f - report.profile.f)))
     assert fixed_point_defect <= 1e-8
     ke = eval_kernels(report.profile, prob)
-    assert float(np.max(np.abs(ke.E * ke.I - 1.0))) <= 1e-8
+    assert float(np.max(np.abs(ke.E * np.exp(ke.log_I) - 1.0))) <= 1e-8
     _ok(10, f"mu = 0 Robin solve: lambda = {report.lambda_tilde:.6f}, fixed-point defect {fixed_point_defect:.1e}")

@@ -99,6 +99,22 @@ UNREADABLE_CONFIGS = [
     ("pde-sample_every", "verify-pde", {"pde": {"sample_every": 16}}, "unknown key(s) ['sample_every'] in pde block"),
     ("numerics-scan_points", "solve", {"numerics": {"scan_points": 128}}, "unknown key(s) ['scan_points'] in numerics"),
     ("pde-n_space", "verify-pde", {"pde": {"n_space": 40}}, "unknown key(s) ['n_space'] in pde block"),
+    (
+        "radiative-r-divisor-underflow",
+        "certify",
+        {"bc": dict(RADIATIVE, T_star=1.5), "reference": {"k0": 5e-324, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
+        "r divisor k0*(T_star-T_m) underflows",
+    ),
+    (
+        "oracle-amplitude-overflow",
+        "oracle",
+        {
+            "bc": {"kind": "neumann", "q": 0.5},
+            "coefficients": {"family": "constant", "Pe": 30.0},
+            "reference": {"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1e6, "T_m": 1.0},
+        },
+        "exp(Pe^2) overflows at Pe=30.0",
+    ),
 ]
 
 
@@ -194,6 +210,25 @@ def test_malformed_coefficient_tables_exit_3(tmp_path, rows, capsys):
     cfg = write_config(tmp_path / "cfg.json", coefficients={"family": "table", "path": str(table)})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
     assert f"{table} line 4" in capsys.readouterr().err
+
+
+def test_neumann_table_solves_inside_its_sandwich(tmp_path):
+    # rho_c doubles over the table while k stays 1: the Neumann sandwich needs N_m and N_M in their places
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_HEADER + "0.5,1,1,0\n1,1,1,0\n2,1,2,0\n3,1,2,0\n")
+    cfg = write_config(
+        tmp_path / "cfg.json", bc={"kind": "neumann", "q": 0.5}, coefficients={"family": "table", "path": str(table)}
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def test_certify_with_overflowing_contraction_bound_exits_0(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", coefficients=dict(LINEAR, Pe=400.0))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    cert = json.loads((out / "existence.json").read_text())
+    assert cert["certified"] is False
+    assert "overflows" in cert["lambda_bar_note"]
 
 
 def test_oracle_commands(tmp_path):

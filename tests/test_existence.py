@@ -67,6 +67,18 @@ def test_radiative_no_convection_reports_undefined_bound():
     assert cert.hypothesis_flags["radiative_lipschitz"] == FAILS
 
 
+def test_overflowing_contraction_bound_is_uncertified_not_an_error():
+    # at Pe = 400 the factor exp(2 mu_M / L_m) of the bound overflows at every z
+    prob = linear_problem(BCKind.DIRICHLET, alpha=0.1, beta=0.1, Pe=400.0, Ste=1.0)
+    cert = certify(prob)
+    assert not cert.certified
+    assert cert.lambda_bar is None
+    assert "overflows" in cert.lambda_bar_note
+    assert cert.epsilon_at_lambda2 is None
+    assert cert.hypothesis_flags["extra_contraction"] == FAILS
+    assert cert.hypothesis_flags["contraction_at_lambda2"] == FAILS
+
+
 def test_lambda_bar_is_unit_crossing(linear_dirichlet):
     lb, note = lambda_bar(linear_dirichlet)
     assert note is None

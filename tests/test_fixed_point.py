@@ -14,8 +14,8 @@ from meltfront import (
 )
 from meltfront.existence import HOLDS, lambda_bar
 from meltfront.fixed_point import (
+    contraction_bound_or_inf,
     radiative_in_admissible_set,
-    radiative_lipschitz_margin,
     radiative_self_map_margin,
 )
 
@@ -83,6 +83,11 @@ def test_linear_family_contraction_rate(linear_dirichlet):
     assert res.theoretical_rate == pytest.approx(bound)
     assert res.contraction_observed is not None
     assert res.contraction_observed <= bound + 0.05
+
+
+def test_overflowing_contraction_bound_has_no_theoretical_rate():
+    prob = linear_problem(BCKind.DIRICHLET, 0.1, 0.1, 400.0, Ste=1.0)
+    assert solve_profile(prob, 0.5, n=64).theoretical_rate is None
 
 
 def test_neumann_profile_may_exceed_one():
@@ -156,7 +161,8 @@ def test_radiative_hypothesis_margins():
         BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.3, Ste=0.5, Bi=0.05, r=0.005, T_star=2.0, T_m=1.0
     )
     assert radiative_self_map_margin(good) <= 1.0
-    assert radiative_lipschitz_margin(good) < 1.0
+    # the contraction bound at z = 0 is the Lipschitz margin (2 Bi + r D5) / mu_M, bit for bit
+    assert contraction_bound_or_inf(good, 0.0) == (2.0 * good.Bi + good.r * good.D5) / good.mu_M < 1.0
     assert radiative_in_admissible_set(good)
     bad = linear_problem(
         BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.3, Ste=0.5, Bi=3.0, r=0.05, T_star=2.0, T_m=1.0

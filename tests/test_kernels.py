@@ -43,12 +43,12 @@ def test_constant_coefficients_zero_convection_closed_forms():
 def test_node_zero_values_are_exact(rng, linear_dirichlet):
     prof = random_profile(rng, 0.7, 64)
     ke = eval_kernels(prof, linear_dirichlet)
-    assert ke.U[0] == 1.0
-    assert ke.I[0] == 1.0
+    assert np.exp(ke.log_U)[0] == 1.0
+    assert np.exp(ke.log_I)[0] == 1.0
     assert ke.E[0] == 1.0
     assert ke.Phi[0] == 0.0
-    assert np.all(np.diff(ke.U) >= 0.0)
-    assert np.all(np.diff(ke.I) > 0.0)
+    assert np.all(np.diff(np.exp(ke.log_U)) >= 0.0)
+    assert np.all(np.diff(np.exp(ke.log_I)) > 0.0)
     assert np.all(np.diff(ke.Phi) > 0.0)
 
 
@@ -71,8 +71,8 @@ def test_kernels_match_refined_trapezoid_oracle(linear_dirichlet):
     Phi_ref = cumtrapz_ref(E_ref / L, fine_xi)
 
     shared = slice(None, None, refine)
-    assert np.max(np.abs(ke.U - U_ref[shared])) <= 1e-8
-    assert np.max(np.abs(ke.I - I_ref[shared])) <= 1e-8
+    assert np.max(np.abs(np.exp(ke.log_U) - U_ref[shared])) <= 1e-8
+    assert np.max(np.abs(np.exp(ke.log_I) - I_ref[shared])) <= 1e-8
     assert np.max(np.abs(ke.E - E_ref[shared])) <= 1e-8
     assert np.max(np.abs(ke.Phi - Phi_ref[shared])) <= 1e-8
 
@@ -113,8 +113,8 @@ def test_random_profiles_stay_inside_envelopes(rng, linear_dirichlet):
         ke = eval_kernels(prof, linear_dirichlet)
         env = kernel_bounds(lam, linear_dirichlet, n=256)
         for arr, lo, hi in (
-            (ke.U, env.U_lower, env.U_upper),
-            (ke.I, env.I_lower, env.I_upper),
+            (np.exp(ke.log_U), env.U_lower, env.U_upper),
+            (np.exp(ke.log_I), env.I_lower, env.I_upper),
             (ke.E, env.E_lower, env.E_upper),
             (ke.Phi, env.Phi_lower, env.Phi_upper),
         ):
@@ -178,3 +178,5 @@ def test_overflow_guard_reports_node():
         eval_kernels(ProfileGrid.linear(2.0, 64), prob)
     assert exc.value.node is not None
     assert exc.value.exponent > 700.0
+    # the node's position prints as a plain float
+    assert f"(xi={float(ProfileGrid.linear(2.0, 64).xi[exc.value.node])!r})" in str(exc.value)

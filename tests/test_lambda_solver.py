@@ -100,6 +100,9 @@ def test_robin_large_biot_approaches_dirichlet():
         linear_problem(
             BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.3, Ste=0.5, Bi=0.05, r=0.005, T_star=2.0, T_m=1.0
         ),
+        # N* and L* varying on their own: the Neumann curves need E's envelopes exactly
+        linear_problem(BCKind.NEUMANN, alpha=1.0, beta=0.0, Pe=0.0, q_star=0.5, M=1.0, T_m=1.0),
+        linear_problem(BCKind.NEUMANN, alpha=0.0, beta=1.0, Pe=0.0, q_star=0.5, M=1.0, T_m=1.0),
     ],
 )
 def test_sandwich_inside_bracket(prob):
@@ -111,6 +114,10 @@ def test_sandwich_inside_bracket(prob):
         lo = v1_curve(prob, float(lam))
         hi = v2_curve(prob, float(lam))
         assert lo - 1e-6 < value < hi + 1e-6
+    # the root lies in the analytic bracket, up to the solver's widening by 1e-4
+    lam = solve_lambda(prob, settings).lambda_tilde
+    assert br.provenance == "analytic"
+    assert br.lambda1 * (1.0 - 1e-4) <= lam <= br.lambda2 * (1.0 + 1e-4)
 
 
 def test_root_quality_and_bracket_containment(linear_dirichlet):

@@ -23,6 +23,7 @@ from meltfront import (
     table_model,
     temperature_at,
 )
+from meltfront.coefficients import temperature_of_f
 from meltfront.reconstruct import PhysicalSolution
 
 
@@ -159,4 +160,4 @@ def test_reconstruction_uses_the_reduction_temperature_map():
     prob = build_dimensionless(model, bc)
     sol = physical_solution(solve_lambda(prob, SolverSettings(n=256)), model, bc)
     f = sol.profile.f
-    assert np.array_equal(model.k(sol.temperature_of_f(f)) / model.k0, prob.L_star(f))
+    assert np.array_equal(model.k(temperature_of_f(sol.bc, f)) / model.k0, prob.L_star(f))
