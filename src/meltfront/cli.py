@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
@@ -48,7 +47,7 @@ from .coefficients import (
     table_model_from_csv,
 )
 from .errors import ConfigError, MeltfrontError
-from .existence import certify, report_as_dict as existence_as_dict
+from .existence import ExistenceReport, certify, report_as_dict as existence_as_dict
 from .lambda_solver import SolverSettings, report_as_dict, solve_lambda
 from .pde_verifier import FrontFixedScheme, verify
 from .reconstruct import export_field_csv, export_front_csv, physical_solution
@@ -219,13 +218,10 @@ def _fail(stage: str, exc: Exception) -> None:
     print(f"error [{stage}]: {exc}", file=sys.stderr)
 
 
-def _failure_exit_code(problem: Problem) -> int:
-    # 4 when existence hypotheses also failed, 2 otherwise
-    try:
-        cert = certify(problem.prob, problem.settings)
-    except MeltfrontError:
-        return 2
-    return 4 if any(v == "fails" for v in cert.hypothesis_flags.values()) else 2
+def _failure_exit_code(existence: ExistenceReport | None) -> int:
+    # 4 when the failed solve's certificate fails a hypothesis, 2 otherwise
+    # (also when the failure came before a certificate was issued)
+    return 2 if existence is None or existence.certified else 4
 
 
 def _cmd_solve(args) -> int:
@@ -244,7 +240,7 @@ def _cmd_solve(args) -> int:
         report = solve_lambda(problem.prob, problem.settings)
     except MeltfrontError as exc:
         _fail("solve", exc)
-        return _failure_exit_code(problem)
+        return _failure_exit_code(exc.existence)
     _dump_json(outdir / "report.json", report_as_dict(report))
     _write_profile_csv(outdir / "profile.csv", report.profile.xi, report.profile.f)
     sol = physical_solution(report, problem.model, problem.bc)
@@ -328,45 +324,35 @@ def _cmd_sweep(args) -> int:
     tuples = list(product(*(sweep[name] for name in names)))
     outdir = _out_dir(cfg, args)
     any_failed = False
-
-    def run_case(index: int, combo) -> dict:
-        case_cfg = copy.deepcopy(base)
-        for name, value in zip(names, combo):
-            _set_dotted(case_cfg, name, value)
-        row = {"case": index}
-        row.update({name: value for name, value in zip(names, combo)})
-        try:
-            problem = build_problem(case_cfg, args.grid)
-            report = solve_lambda(problem.prob, problem.settings)
-            row.update(
-                status="ok",
-                **{
-                    "lambda": report.lambda_tilde,
-                    "outer_residual": report.outer_residual,
-                    "inner_iterations": report.inner.iterations,
-                    "front_flux_residual": report.front_flux_residual,
-                    "certified": report.existence.certified,
-                },
-            )
-        except MeltfrontError as exc:
-            # the writer leaves the result columns of an error row empty
-            row["status"] = f"error: {exc}"
-        return row
-
     fieldnames = ["case", *names, "lambda", "outer_residual", "inner_iterations",
                   "front_flux_residual", "certified", "status"]
     with (outdir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
         fh.flush()
-        # rows are taken in case order; only this thread writes
-        with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-            for row in pool.map(run_case, range(len(tuples)), tuples):
-                if str(row["status"]) != "ok":
-                    any_failed = True
-                writer.writerow(row)
-                fh.flush()
-                _say(args, f"case {row['case']}: {row['status']}")
+        for index, combo in enumerate(tuples):
+            case_cfg = copy.deepcopy(base)
+            for name, value in zip(names, combo):
+                _set_dotted(case_cfg, name, value)
+            row = {"case": index, **dict(zip(names, combo))}
+            try:
+                problem = build_problem(case_cfg, args.grid)
+                report = solve_lambda(problem.prob, problem.settings)
+                row.update({
+                    "lambda": report.lambda_tilde,
+                    "outer_residual": report.outer_residual,
+                    "inner_iterations": report.inner.iterations,
+                    "front_flux_residual": report.front_flux_residual,
+                    "certified": report.existence.certified,
+                    "status": "ok",
+                })
+            except MeltfrontError as exc:
+                # the writer leaves the result columns of an error row empty
+                row["status"] = f"error: {exc}"
+            any_failed = any_failed or row["status"] != "ok"
+            writer.writerow(row)
+            fh.flush()
+            _say(args, f"case {index}: {row['status']}")
     _write_sidecar(outdir, "sweep")
     _say(args, f"{len(tuples)} case(s) written to {outdir / 'sweep.csv'}")
     return 2 if any_failed else 0
@@ -377,13 +363,14 @@ def _cmd_verify_pde(args) -> int:
     problem = build_problem(cfg, args.grid)
     scheme = _from_block(FrontFixedScheme, cfg, "pde")
     outdir = _out_dir(cfg, args)
+    report = None
     try:
         report = solve_lambda(problem.prob, problem.settings)
         sol = physical_solution(report, problem.model, problem.bc)
         disc = verify(sol, problem.model, problem.bc, scheme)
     except MeltfrontError as exc:
         _fail("verify-pde", exc)
-        return _failure_exit_code(problem)
+        return _failure_exit_code(exc.existence if report is None else report.existence)
     _dump_json(outdir / "verify.json", {
         "lambda": report.lambda_tilde,
         "scheme": asdict(scheme),
@@ -418,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON problem description")
     parser.add_argument("--out", default=None, help="output directory (default: outputs.dir or '.')")
-    parser.add_argument("--workers", type=int, default=1, help="concurrent sweep workers")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted and ignored: sweep cases run one after another on one thread")
     parser.add_argument("--grid", type=int, default=None, help="override the profile grid size")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser

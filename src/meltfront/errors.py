@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class MeltfrontError(Exception):
-    """Base class for all solver errors."""
+    """Base class for all solver errors.
+
+    ``existence`` is the certificate of the problem whose solve failed, or
+    None when the error came before one was issued.
+    """
+
+    existence = None
 
 
 class ConfigError(MeltfrontError):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import erf
 
 from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, MeltfrontError
 from .fixed_point import InnerResult, _radiative_g0, solve_profile
 from .kernels import DEFAULT_GRID_N, ProfileGrid
 from .rootfind import bisect_root, sign_change_intervals
@@ -49,6 +49,10 @@ __all__ = [
 _FALLBACK_EPS = 1e-6
 # points of the scan for the first crossing of V2 with the identity
 _SCAN_POINTS = 1024
+# the lowest search point is lambda_max * 1e-17 (the V2 scan starts at
+# lambda_max * 1e-9, the solve at lambda2 * 1e-8); above this floor it stays
+# a normal float instead of underflowing to 0
+_LAMBDA_MAX_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ class SolverSettings:
             raise ConfigError(f"grid must have at least 16 intervals, got {self.n}")
         if not all(0.0 < tol < math.inf for tol in (self.inner_tol, self.outer_tol)):
             raise ConfigError(f"tolerances must be positive and finite, got {self.inner_tol!r}, {self.outer_tol!r}")
-        if not 0.0 < self.lambda_max < math.inf:
-            raise ConfigError(f"lambda_max must be positive and finite, got {self.lambda_max!r}")
+        if not _LAMBDA_MAX_FLOOR <= self.lambda_max < math.inf:
+            raise ConfigError(f"lambda_max must be finite and at least {_LAMBDA_MAX_FLOOR:g}, got {self.lambda_max!r}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -223,16 +227,14 @@ def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> flo
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full outcome of one front-coefficient solve."""
+    """Full outcome of one front-coefficient solve; bracket and bc kind are the certificate's."""
 
     lambda_tilde: float
-    bc_kind: BCKind
     profile: ProfileGrid
     inner: InnerResult
     v_at_lambda: float
     outer_residual: float
     outer_iterations: int
-    bracket: Bracket
     front_flux_residual: float
     profile_max: float
     existence: "ExistenceReport"
@@ -249,10 +251,20 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
     search otherwise stops when the bracket is narrower than
     1e-15 max(1, lambda) or after 200 steps; the reported lambda is the
     evaluated point with the smallest |V - lambda|, with its own profile.
+    Any MeltfrontError raised after the certificate is issued carries it as
+    ``existence``.
     """
     from .existence import certify  # deferred: existence builds on this module's bracket
 
     cert = certify(prob, settings)
+    try:
+        return _solve_in_bracket(prob, settings, cert)
+    except MeltfrontError as exc:
+        exc.existence = cert
+        raise
+
+
+def _solve_in_bracket(prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport") -> SolveReport:
     br = cert.bracket
     # widen both ends a hair: with coefficients sitting exactly on their
     # bounds the sandwich is tight and the root can coincide with either
@@ -303,13 +315,11 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
     profile = inner_best.profile
     return SolveReport(
         lambda_tilde=lam_tilde,
-        bc_kind=prob.bc_kind,
         profile=profile,
         inner=inner_best,
         v_at_lambda=g_best + lam_tilde,
         outer_residual=abs(g_best),
         outer_iterations=outer_iterations,
-        bracket=br,
         front_flux_residual=front_flux_residual(prob, profile),
         profile_max=float(np.max(profile.f)),
         existence=cert,
@@ -324,11 +334,11 @@ def report_as_dict(report: SolveReport) -> dict:
     inner = report.inner
     return {
         "lambda": report.lambda_tilde,
-        "bc_kind": report.bc_kind.value,
+        "bc_kind": report.existence.bc_kind.value,
         "v_at_lambda": report.v_at_lambda,
         "outer_residual": report.outer_residual,
         "outer_iterations": report.outer_iterations,
-        "bracket": asdict(report.bracket),
+        "bracket": asdict(report.existence.bracket),
         "inner": {
             "iterations": inner.iterations,
             "residual": inner.residual,

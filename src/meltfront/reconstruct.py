@@ -41,18 +41,15 @@ _FRONT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhysicalSolution:
-    """A solved similarity solution tied back to its dimensional data."""
+    """A solved similarity solution tied back to its dimensional data; lambda is ``profile.lam``."""
 
-    lambda_tilde: float
     alpha0: float
     bc: BoundaryCondition
     profile: ProfileGrid
 
     def __post_init__(self):
-        if not (self.lambda_tilde > 0.0 and self.alpha0 > 0.0):
-            raise ConfigError("lambda_tilde and alpha0 must be positive")
-        if abs(self.profile.lam - self.lambda_tilde) > 1e-9 * self.lambda_tilde:
-            raise ConfigError("profile grid must span [0, lambda_tilde]")
+        if not self.alpha0 > 0.0:
+            raise ConfigError("alpha0 must be positive")
 
     @cached_property
     def _interp(self) -> PchipInterpolator:
@@ -70,25 +67,20 @@ class PhysicalSolution:
 
 def physical_solution(report, model: ThermalModel, bc: BoundaryCondition) -> PhysicalSolution:
     """Tie a SolveReport back to its dimensional model and boundary condition."""
-    return PhysicalSolution(
-        lambda_tilde=report.lambda_tilde,
-        alpha0=model.alpha0,
-        bc=bc,
-        profile=report.profile,
-    )
+    return PhysicalSolution(alpha0=model.alpha0, bc=bc, profile=report.profile)
 
 
 def front_position(sol: PhysicalSolution, t: float) -> float:
     """s(t) = 2 lambda sqrt(alpha0 t)."""
     if t < 0.0:
         raise ConfigError(f"t must be non-negative, got {t}")
-    return 2.0 * sol.lambda_tilde * math.sqrt(sol.alpha0 * t)
+    return 2.0 * sol.profile.lam * math.sqrt(sol.alpha0 * t)
 
 
 def front_speed(sol: PhysicalSolution, t: float) -> float:
     if not t > 0.0:
         raise ConfigError(f"front speed needs t > 0, got {t}")
-    return sol.lambda_tilde * math.sqrt(sol.alpha0 / t)
+    return sol.profile.lam * math.sqrt(sol.alpha0 / t)
 
 
 def _similarity_variable(sol: PhysicalSolution, x, t: float):
@@ -103,7 +95,7 @@ def temperature_at(sol: PhysicalSolution, x: float, t: float) -> float | None:
     xi = _similarity_variable(sol, x, t)
     if x < 0.0:
         raise ConfigError(f"x must be non-negative, got {x}")
-    if xi > sol.lambda_tilde * (1.0 + _FRONT_TOL):
+    if xi > sol.profile.lam * (1.0 + _FRONT_TOL):
         return None
     return float(temperature_of_f(sol.bc, sol.f_at(xi)))
 

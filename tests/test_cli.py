@@ -2,10 +2,11 @@ import copy
 import csv
 import itertools
 import json
+import threading
 
 import pytest
 
-from meltfront import dirichlet_constant
+from meltfront import ConvergenceError, cli, dirichlet_constant, existence
 from meltfront.cli import main
 
 
@@ -99,6 +100,18 @@ UNREADABLE_CONFIGS = [
     ("pde-sample_every", "verify-pde", {"pde": {"sample_every": 16}}, "unknown key(s) ['sample_every'] in pde block"),
     ("numerics-scan_points", "solve", {"numerics": {"scan_points": 128}}, "unknown key(s) ['scan_points'] in numerics"),
     ("pde-n_space", "verify-pde", {"pde": {"n_space": 40}}, "unknown key(s) ['n_space'] in pde block"),
+    # the lowest search point, lambda_max * 1e-17, would underflow to 0
+    (
+        "lambda_max-5e-324",
+        "solve",
+        {
+            "bc": dict(RADIATIVE, T_star=2.0),
+            "coefficients": {"family": "linear", "alpha": 0.1, "beta": 0.1, "Pe": 0.5},
+            "numerics": {"lambda_max": 5e-324},
+        },
+        "lambda_max must be finite and at least 1e-290, got 5e-324",
+    ),
+    ("lambda_max-1e-310", "certify", {"numerics": {"lambda_max": 1e-310}}, "lambda_max must be finite and at least"),
     (
         "radiative-r-divisor-underflow",
         "certify",
@@ -275,6 +288,20 @@ def test_sweep_runs_all_tuples(tmp_path):
     assert lambdas[("0.0", "0.5")] > lambdas[("0.0", "1.0")] > lambdas[("0.0", "2.0")]
 
 
+def test_sweep_cases_run_on_the_main_thread(tmp_path, monkeypatch):
+    threads = []
+    solve_lambda = cli.solve_lambda
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return solve_lambda(*args)
+
+    monkeypatch.setattr(cli, "solve_lambda", recording)
+    cfg = write_config(tmp_path / "cfg.json", sweep={"coefficients.Pe": [0.0, 0.5, 1.0]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "3", "--quiet"]) == 0
+    assert threads == [threading.main_thread()] * 3
+
+
 def test_sweep_unknown_parameter_exits_3(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", sweep={"reference.bogus": [1.0]})
     assert main(["sweep", "--config", str(cfg), "--quiet"]) == 3
@@ -311,20 +338,59 @@ def test_grid_override(tmp_path):
     assert len(profile) == 1 + 65
 
 
+# hypotheses hold (small Stefan number keeps the bracket inside the
+# contraction region) but the iteration budget is too small: exit 2
+STARVED = {
+    "coefficients": {"family": "linear", "alpha": 0.0, "beta": 0.3, "Pe": 0.05},
+    "reference": {"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 500.0, "T_m": 1.0},
+    "numerics": {"max_iter": 1},
+}
+# zero-exchange radiative condition: no front equation root, hypotheses fail: exit 4
+VOID = {"bc": {"kind": "radiative", "h": 0.0, "sigma": 1.0, "epsilon": 0.0, "T_star": 2.0}, "numerics": {"n": 64}}
+
+
 def test_nonconvergence_exit_codes(tmp_path):
-    # hypotheses hold (small Stefan number keeps the bracket inside the
-    # contraction region) but the iteration budget is too small: exit 2
-    starved = write_config(
-        tmp_path / "starved.json",
-        coefficients={"family": "linear", "alpha": 0.0, "beta": 0.3, "Pe": 0.05},
-        reference={"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 500.0, "T_m": 1.0},
-        numerics={"max_iter": 1},
-    )
+    starved = write_config(tmp_path / "starved.json", **STARVED)
     assert main(["solve", "--config", str(starved), "--quiet"]) == 2
-    # zero-exchange radiative condition: no front equation root, hypotheses fail: exit 4
-    void = write_config(
-        tmp_path / "void.json",
-        bc={"kind": "radiative", "h": 0.0, "sigma": 1.0, "epsilon": 0.0, "T_star": 2.0},
-        numerics={"n": 64},
-    )
+    void = write_config(tmp_path / "void.json", **VOID)
     assert main(["solve", "--config", str(void), "--quiet"]) == 4
+
+
+def count_certify(monkeypatch) -> list:
+    """Count the certify calls of the package, at both bindings callers use."""
+    calls = []
+    certify = existence.certify
+
+    def counting(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(existence, "certify", counting)
+    monkeypatch.setattr(cli, "certify", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["solve", "verify-pde"])
+@pytest.mark.parametrize("overrides, code", [(STARVED, 2), (VOID, 4)], ids=["starved", "void"])
+def test_failed_solve_certifies_once(tmp_path, monkeypatch, command, overrides, code):
+    calls = count_certify(monkeypatch)
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == code
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "coefficients, code",
+    [({"family": "constant", "Pe": 0.0}, 2), ({"family": "linear", "alpha": 0.0, "beta": 0.5, "Pe": 0.1}, 4)],
+    ids=["certified", "uncertified"],
+)
+def test_verify_pde_failure_after_the_solve_reads_its_certificate(tmp_path, monkeypatch, coefficients, code):
+    calls = count_certify(monkeypatch)
+
+    def unstable(*args):
+        raise ConvergenceError("front-fixed scheme unstable")
+
+    monkeypatch.setattr(cli, "verify", unstable)
+    cfg = write_config(tmp_path / "cfg.json", coefficients=coefficients)
+    assert main(["verify-pde", "--config", str(cfg), "--out", str(tmp_path / "out"), "--grid", "64", "--quiet"]) == code
+    assert len(calls) == 1

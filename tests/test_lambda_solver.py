@@ -17,6 +17,7 @@ from meltfront import (
     front_flux_residual,
     linear_problem,
     solve_lambda,
+    table_model,
     v_value,
 )
 from meltfront.lambda_solver import v1_curve, v2_curve
@@ -123,10 +124,10 @@ def test_sandwich_inside_bracket(prob):
 def test_root_quality_and_bracket_containment(linear_dirichlet):
     report = solve_lambda(linear_dirichlet)
     assert report.outer_residual <= report.settings.outer_tol
-    assert report.bracket.lambda1 <= report.lambda_tilde
+    assert report.existence.bracket.lambda1 <= report.lambda_tilde
     # the search interval is widened a hair past lambda2 for degenerate
     # (envelope-tight) problems
-    assert report.lambda_tilde <= report.bracket.lambda2 * (1.0 + 1e-4)
+    assert report.lambda_tilde <= report.existence.bracket.lambda2 * (1.0 + 1e-4)
     assert report.v_at_lambda == pytest.approx(report.lambda_tilde, abs=report.settings.outer_tol)
 
 
@@ -141,8 +142,31 @@ def test_lambda_increases_with_stefan_number():
 def test_no_sign_change_diagnostics():
     # zero exchange: V is identically 0, so no front coefficient exists
     prob = constant_problem(BCKind.RADIATIVE, Pe=0.5, Ste=1.0, Bi=0.0, r=0.0, T_star=2.0, T_m=1.0)
-    with pytest.raises(ConvergenceError, match="no sign change"):
+    with pytest.raises(ConvergenceError, match="no sign change") as exc:
         solve_lambda(prob, SolverSettings(n=64))
+    # the failure carries the certificate the solve issued
+    assert exc.value.existence is not None and not exc.value.existence.certified
+
+
+def test_rescue_scan_finds_a_root_the_bracket_ends_miss():
+    # V - lambda is positive at both ends of the analytic bracket and dips
+    # below zero inside it, so only the 64-point rescue scan finds the root
+    model = table_model(
+        (0.5, 1.375, 2.25, 3.125, 4.0),
+        (1.6227, 0.8131, 0.6632, 1.7020, 0.2632),
+        (0.7514, 1.2902, 1.0091, 0.7023, 1.2366),
+        (1.7969, 1.5309, 2.2497, 3.4713, 4.3770),
+        1.0, 1.0, 1.0, 2.9416,
+    )
+    prob = build_dimensionless(model, Neumann(q=0.28106, T_m=1.0))
+    settings = SolverSettings(n=64)
+    report = solve_lambda(prob, settings)
+    br = report.existence.bracket
+    assert br.provenance == "analytic" and not report.existence.certified
+    for end in (br.lambda1, br.lambda2):
+        assert v_value(prob, end, settings)[0] - end > 0.0
+    assert report.lambda_tilde == pytest.approx(0.1418225, abs=1e-5)
+    assert report.outer_residual <= settings.outer_tol
 
 
 def test_inner_failure_carries_lambda(linear_dirichlet):

@@ -5,22 +5,26 @@ from meltfront import (
     ConvergenceError,
     Dirichlet,
     FrontFixedScheme,
+    Neumann,
+    Radiative,
     Robin,
     ThermalModel,
     build_dimensionless,
     constant_model,
+    linear_model,
     physical_solution,
     solve_lambda,
     verify,
 )
 
 
+def solved(model, bc):
+    return model, bc, physical_solution(solve_lambda(build_dimensionless(model, bc)), model, bc)
+
+
 @pytest.fixture(scope="module")
 def dirichlet_case():
-    model = constant_model(1.0, 1.0, 1.0, 2.0, Pe=0.0)  # Ste = 0.5
-    bc = Dirichlet(T_star=2.0, T_m=1.0)
-    report = solve_lambda(build_dimensionless(model, bc))
-    return model, bc, physical_solution(report, model, bc)
+    return solved(constant_model(1.0, 1.0, 1.0, 2.0, Pe=0.0), Dirichlet(T_star=2.0, T_m=1.0))  # Ste = 0.5
 
 
 def test_zero_horizon_zero_discrepancy(dirichlet_case):
@@ -39,15 +43,21 @@ def test_short_run_consistency(dirichlet_case):
 
 
 def test_refinement_roughly_halves_front_error(dirichlet_case):
-    model, bc, sol = dirichlet_case
-    errs = {}
-    for nodes in (50, 100, 200):
-        d = verify(sol, model, bc, FrontFixedScheme(nodes=nodes, t0=1.0, t1=1.2))
-        errs[nodes] = d.s_rel_final
-    assert errs[50] > errs[100] > errs[200]  # monotone under refinement
-    for coarse, fine in ((50, 100), (100, 200)):
-        ratio = errs[coarse] / errs[fine]
-        assert 1.4 <= ratio <= 3.2  # first-order front coupling
+    # the Neumann face and the radiative face (Newton on the quartic) beside the Dirichlet one
+    neumann = solved(constant_model(1.0, 1.0, 1.0, 1.0, Pe=0.5), Neumann(q=0.5, T_m=1.0))
+    radiative = solved(
+        linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.1, beta=0.1, Pe=0.5, T_star=2.0, T_m=1.0),
+        Radiative(h=0.05, sigma=0.05, epsilon=0.05, T_star=2.0, T_m=1.0),
+    )
+    for model, bc, sol in (dirichlet_case, neumann, radiative):
+        errs = {}
+        for nodes in (50, 100, 200):
+            d = verify(sol, model, bc, FrontFixedScheme(nodes=nodes, t0=1.0, t1=1.2))
+            errs[nodes] = d.s_rel_final
+        assert errs[50] > errs[100] > errs[200], bc  # monotone under refinement
+        for coarse, fine in ((50, 100), (100, 200)):
+            ratio = errs[coarse] / errs[fine]
+            assert 1.4 <= ratio <= 3.2, bc  # first-order front coupling
 
 
 def test_robin_face_update(dirichlet_case_model=None):

@@ -60,19 +60,14 @@ def test_interior_matches_erf_solution(dirichlet_case):
     _, bc, sol = dirichlet_case
     t = 1.0
     x = front_position(sol, t) / 2.0
-    lam = sol.lambda_tilde
+    lam = sol.profile.lam
     xi = lam / 2.0
     expected = (bc.T_m - bc.T_star) * erf(xi) / erf(lam) + bc.T_star
     assert temperature_at(sol, x, t) == pytest.approx(expected, abs=1e-6)
 
 
 def test_front_position_values():
-    sol = PhysicalSolution(
-        lambda_tilde=0.5,
-        alpha0=1.0,
-        bc=Dirichlet(T_star=2.0, T_m=1.0),
-        profile=ProfileGrid.linear(0.5, 32),
-    )
+    sol = PhysicalSolution(alpha0=1.0, bc=Dirichlet(T_star=2.0, T_m=1.0), profile=ProfileGrid.linear(0.5, 32))
     assert front_position(sol, 0.0) == 0.0
     assert front_position(sol, 1.0) == pytest.approx(1.0)
     assert front_position(sol, 4.0) == pytest.approx(2.0 * front_position(sol, 1.0))
@@ -146,7 +141,7 @@ def test_profile_at_and_beyond_the_front_is_the_front_node_value(rng):
         n = int(rng.integers(16, 600))
         f = np.sort(rng.uniform(0.0, 1.0, n + 1))
         f[-1] = 1.0
-        sol = PhysicalSolution(lambda_tilde=lam, alpha0=1.0, bc=bc, profile=ProfileGrid(lam, f))
+        sol = PhysicalSolution(alpha0=1.0, bc=bc, profile=ProfileGrid(lam, f))
         assert sol.f_at(lam) == f[-1]
         assert sol.f_at(2.0 * lam) == f[-1]
         assert np.all(sol.f_at(np.array([lam, 1.5 * lam])) == f[-1])
