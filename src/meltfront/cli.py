@@ -48,6 +48,7 @@ from .coefficients import (
 )
 from .errors import ConfigError, MeltfrontError
 from .existence import ExistenceReport, certify, report_as_dict as existence_as_dict
+from .kernels import MAX_NODES
 from .lambda_solver import SolverSettings, report_as_dict, solve_lambda
 from .pde_verifier import FrontFixedScheme, verify
 from .reconstruct import export_field_csv, export_front_csv, physical_solution
@@ -235,6 +236,8 @@ def _cmd_solve(args) -> int:
         raise ConfigError(f"outputs.times must all be positive, got {times!r}")
     if nx < 0:
         raise ConfigError(f"outputs.nx must be non-negative, got {nx}")
+    if nx > MAX_NODES:
+        raise ConfigError(f"outputs.nx must be at most {MAX_NODES}, got {nx}")
     outdir = _out_dir(cfg, args)
     try:
         report = solve_lambda(problem.prob, problem.settings)

@@ -62,6 +62,10 @@ class BCKind(str, Enum):
     RADIATIVE = "radiative"
 
 
+# uniform samples per coefficient behind the bounds of a model that brings none
+_BOUND_SAMPLES = 257
+
+
 def eval_coefficient(fn: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient callable on a scalar or an array, tolerating scalar-only callables."""
     x = np.asarray(x, dtype=float)
@@ -166,20 +170,27 @@ def _check_reference(k0: float, rho0: float, c0: float, ell: float) -> None:
     _check_positive("reference product rho0*c0*k0", rho0 * c0 * k0)
 
 
+def _linear_family(alpha: float, beta: float, Pe: float):
+    """The linear family on u in [0, 1]: L(u) = 1 + beta u, N(u) = 1 + alpha u and mu(u) = Pe N(u).
+
+    Returns one ``(function, (min, max, Lipschitz))`` pair for each of L, N
+    and mu; the triples are exact on [0, 1].
+    """
+    if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
+        raise ConfigError("alpha, beta and Pe must be non-negative")
+    a, b = float(alpha), float(beta)
+    L = lambda u: 1.0 + b * np.asarray(u, dtype=float)
+    N = lambda u: 1.0 + a * np.asarray(u, dtype=float)
+    mu = lambda u: Pe * N(u)
+    return (L, (1.0, 1.0 + b, b)), (N, (1.0, 1.0 + a, a)), (mu, (Pe, Pe * (1.0 + a), Pe * a))
+
+
 def constant_model(k0: float, rho0: float, c0: float, ell: float, Pe: float = 0.0) -> ThermalModel:
-    """Constant-coefficient material: k = k0, rho*c = rho0*c0, mu = rho0*c0*sqrt(alpha0)*Pe."""
-    _check_reference(k0, rho0, c0, ell)
-    if Pe < 0.0:
-        raise ConfigError(f"Pe must be non-negative, got {Pe}")
-    alpha0 = k0 / (rho0 * c0)
-    nu = rho0 * c0 * math.sqrt(alpha0) * Pe
-    gamma0 = rho0 * c0
+    """Constant-coefficient material k = k0, rho*c = rho0*c0, mu = rho0*c0*sqrt(alpha0)*Pe.
 
-    def _const(value):
-        return lambda T: np.full_like(np.asarray(T, dtype=float), value)
-
-    bounds = CoefficientBounds(k0, k0, 0.0, gamma0, gamma0, 0.0, nu, nu, 0.0)
-    return ThermalModel(_const(k0), _const(gamma0), _const(nu), k0, rho0, c0, ell, bounds)
+    The linear family at alpha = beta = 0, where any anchors T_star > T_m give the same model.
+    """
+    return linear_model(k0, rho0, c0, ell, 0.0, 0.0, Pe, T_star=1.0, T_m=0.0)
 
 
 def linear_model(
@@ -193,45 +204,35 @@ def linear_model(
     T_star: float,
     T_m: float,
 ) -> ThermalModel:
-    """Linear-in-temperature family.
+    """Linear-in-temperature family: :func:`linear_problem`'s L and N at theta = (T - T_star)/(T_m - T_star).
 
-    k(T) = k0 * (1 + beta * (T - T_star)/(T_m - T_star)),
-    c(T) = c0 * (1 + alpha * (T - T_star)/(T_m - T_star)),  rho = rho0,
-    mu(T) = rho0 * c(T) * sqrt(alpha0) * Pe.
+    k(T) = k0 L(theta) = k0 * (1 + beta * theta),
+    rho*c(T) = rho0*c0 N(theta), i.e. rho = rho0 and c(T) = c0 * (1 + alpha * theta),
+    mu(T) = rho0*c0*sqrt(alpha0)*Pe N(theta).
 
-    With the Dirichlet-type scaled temperature this composes to
-    L*(f) = 1 + beta f, N*(f) = 1 + alpha f, mu*(f) = Pe (1 + alpha f),
-    and the bounds below are exact on f in [0, 1].
+    The Dirichlet-type scaled temperature makes theta = f, and each bound
+    is the family's bound times its reference constant (the Lipschitz one
+    divided by T_star - T_m), so the bounds are exact on f in [0, 1].
     """
-    if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
-        raise ConfigError("alpha, beta and Pe must be non-negative")
+    (L, L_bounds), (N, N_bounds), _ = _linear_family(alpha, beta, Pe)
     _check_reference(k0, rho0, c0, ell)
     if not T_star > T_m:
         raise ConfigError(f"linear family requires T_star > T_m, got T_star={T_star}, T_m={T_m}")
     alpha0 = k0 / (rho0 * c0)
     gamma0 = rho0 * c0
     span = T_star - T_m
-    nu_scale = gamma0 * math.sqrt(alpha0) * Pe
 
     def theta(T):
         return (np.asarray(T, dtype=float) - T_star) / (T_m - T_star)
 
-    k = lambda T: k0 * (1.0 + beta * theta(T))
-    rho_c = lambda T: gamma0 * (1.0 + alpha * theta(T))
-    mu = lambda T: nu_scale * (1.0 + alpha * theta(T))
+    def scaled(ref, fn, bounds):
+        lo, hi, lip = bounds
+        return (lambda T: ref * fn(theta(T))), (ref * lo, ref * hi, ref * lip / span)
 
-    bounds = CoefficientBounds(
-        k_m=k0,
-        k_M=k0 * (1.0 + beta),
-        k_tilde=k0 * beta / span,
-        gamma_m=gamma0,
-        gamma_M=gamma0 * (1.0 + alpha),
-        gamma_tilde=gamma0 * alpha / span,
-        nu_m=nu_scale,
-        nu_M=nu_scale * (1.0 + alpha),
-        nu_tilde=nu_scale * alpha / span,
-    )
-    return ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, bounds)
+    k, k_bounds = scaled(k0, L, L_bounds)
+    rho_c, gamma_bounds = scaled(gamma0, N, N_bounds)
+    mu, nu_bounds = scaled(gamma0 * math.sqrt(alpha0) * Pe, N, N_bounds)
+    return ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, CoefficientBounds(*k_bounds, *gamma_bounds, *nu_bounds))
 
 
 def load_coefficient_table(path: str | Path) -> dict[str, np.ndarray]:
@@ -311,8 +312,8 @@ def table_model_from_csv(path: str | Path, k0: float, rho0: float, c0: float, el
     return table_model(t["T"], t["k"], t["rho_c"], t["mu"], k0, rho0, c0, ell)
 
 
-def estimate_bounds(model: ThermalModel, T_range: tuple[float, float], samples: int = 257) -> CoefficientBounds:
-    """Sampled bounds: min/max over a uniform sample set plus a max-slope Lipschitz estimate.
+def estimate_bounds(model: ThermalModel, T_range: tuple[float, float]) -> CoefficientBounds:
+    """Sampled bounds: min/max over _BOUND_SAMPLES uniform samples plus a max-slope Lipschitz estimate.
 
     The result is flagged as sampled (``certified=False``), not analytically
     certified.
@@ -320,9 +321,7 @@ def estimate_bounds(model: ThermalModel, T_range: tuple[float, float], samples: 
     lo, hi = float(T_range[0]), float(T_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ConfigError(f"temperature range must be a non-degenerate interval, got ({lo}, {hi})")
-    if samples < 2:
-        raise ConfigError("need at least 2 samples to estimate bounds")
-    Ts = np.linspace(lo, hi, samples)
+    Ts = np.linspace(lo, hi, _BOUND_SAMPLES)
     dT = Ts[1] - Ts[0]
 
     def scan(fn, name, allow_zero):
@@ -616,25 +615,9 @@ def linear_problem(
     (possible under a Neumann condition) evaluate the same formulas but are
     outside the certified region.
     """
-    if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
-        raise ConfigError("alpha, beta and Pe must be non-negative")
-    a, b = float(alpha), float(beta)
-    L_star = lambda f: 1.0 + b * np.asarray(f, dtype=float)
-    N_star = lambda f: 1.0 + a * np.asarray(f, dtype=float)
-    mu_star = lambda f: Pe * (1.0 + a * np.asarray(f, dtype=float))
+    (L, L_bounds), (N, N_bounds), (mu, mu_bounds) = _linear_family(alpha, beta, Pe)
     return DimensionlessProblem(
-        L_star=L_star,
-        N_star=N_star,
-        mu_star=mu_star,
-        L_m=1.0,
-        L_M=1.0 + b,
-        L_tilde=b,
-        N_m=1.0,
-        N_M=1.0 + a,
-        N_tilde=a,
-        mu_m=Pe,
-        mu_M=Pe * (1.0 + a),
-        mu_tilde=Pe * a,
+        L, N, mu, *L_bounds, *N_bounds, *mu_bounds,
         bc_kind=bc_kind,
         Ste=Ste,
         q_star=q_star,

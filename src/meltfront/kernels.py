@@ -26,6 +26,7 @@ from .errors import ConfigError, KernelOverflowError
 
 __all__ = [
     "DEFAULT_GRID_N",
+    "MAX_NODES",
     "EXP_GUARD",
     "ProfileGrid",
     "KernelEval",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID_N = 512
+# the most intervals or points any grid read from a config may ask for
+MAX_NODES = 2**20
 
 # exp() of anything above this is treated as an overflow, not a value
 EXP_GUARD = 700.0

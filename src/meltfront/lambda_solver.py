@@ -29,7 +29,7 @@ from scipy.special import erf
 from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
 from .errors import ConfigError, ConvergenceError, MeltfrontError
 from .fixed_point import InnerResult, _radiative_g0, solve_profile
-from .kernels import DEFAULT_GRID_N, ProfileGrid
+from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid
 from .rootfind import bisect_root, sign_change_intervals
 
 __all__ = [
@@ -74,6 +74,8 @@ class SolverSettings:
             raise ConfigError(f"lambda_max must be finite and at least {_LAMBDA_MAX_FLOOR:g}, got {self.lambda_max!r}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.n > MAX_NODES:
+            raise ConfigError(f"grid must have at most {MAX_NODES} intervals, got {self.n}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -89,7 +91,7 @@ class Bracket:
     exactly on their bounds collapse the sandwich, so lambda1 = lambda2 is
     possible; the solver widens its search a hair around such brackets.
     When the lambda2 search fails the fallback interval [1e-6, lambda_max]
-    is used instead.
+    is used instead, from lambda_max * 1e-9 when lambda_max < 1e-6.
     """
 
     lambda1: float
@@ -188,7 +190,7 @@ def _lambda1(prob: DimensionlessProblem) -> float:
 
 
 def bracket(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> Bracket:
-    """Compute the sandwich bracket, falling back to [1e-6, lambda_max] if needed.
+    """Compute the sandwich bracket, falling back to [1e-6, lambda_max] if needed (see Bracket).
 
     The upper curve sits above the identity everywhere below lambda1, so the
     scan starts near zero: its first crossing is the smallest admissible
@@ -199,7 +201,8 @@ def bracket(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTI
     lo = settings.lambda_max * 1e-9
     intervals = sign_change_intervals(g2, lo, settings.lambda_max, _SCAN_POINTS)
     if not intervals:
-        return Bracket(min(lam1, _FALLBACK_EPS), settings.lambda_max, "fallback", 0)
+        start = _FALLBACK_EPS if settings.lambda_max >= _FALLBACK_EPS else lo
+        return Bracket(min(lam1, start), settings.lambda_max, "fallback", 0)
     lam2 = bisect_root(g2, *intervals[0], xtol=1e-14)
     return Bracket(lam1, max(lam2, lam1), "analytic", max(len(intervals) - 1, 0))
 

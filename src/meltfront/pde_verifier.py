@@ -26,6 +26,7 @@ from scipy.linalg import solve_banded
 
 from .coefficients import BCKind, BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError, ConvergenceError
+from .kernels import MAX_NODES
 from .reconstruct import PhysicalSolution, front_position
 
 __all__ = ["FrontFixedScheme", "PdeDiscrepancy", "verify"]
@@ -44,6 +45,8 @@ class FrontFixedScheme:
             raise ConfigError(f"need at least 8 space intervals, got {self.nodes}")
         if not (self.t0 > 0.0 and self.t1 >= self.t0):
             raise ConfigError(f"need 0 < t0 <= t1, got t0={self.t0}, t1={self.t1}")
+        if self.nodes > MAX_NODES:
+            raise ConfigError(f"need at most {MAX_NODES} space intervals, got {self.nodes}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .coefficients import BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError
-from .kernels import ProfileGrid
+from .kernels import MAX_NODES, ProfileGrid
 
 __all__ = [
     "PhysicalSolution",
@@ -122,6 +122,8 @@ def export_field_csv(sol: PhysicalSolution, path: str | Path, times: Sequence[fl
     """Write `x,t,T` rows over [0, s(t)] for each time (liquid region only)."""
     if nx < 0:
         raise ConfigError(f"nx must be non-negative, got {nx}")
+    if nx > MAX_NODES:
+        raise ConfigError(f"nx must be at most {MAX_NODES}, got {nx}")
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

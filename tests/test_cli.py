@@ -88,6 +88,11 @@ UNREADABLE_CONFIGS = [
     ("times-number", "solve", {"outputs": {"times": 1.0}}, "outputs.times must be a list of finite numbers"),
     ("times-negative", "solve", {"outputs": {"times": [1.0, -1.0]}}, "outputs.times must all be positive"),
     ("nx-negative", "solve", {"outputs": {"nx": -1}}, "nx must be non-negative"),
+    # sizes above MAX_NODES = 2**20 would ask for arrays of that many nodes
+    ("n-1e300", "solve", {"numerics": {"n": 1e300}}, "grid must have at most 1048576 intervals"),
+    ("nodes-1e300", "verify-pde", {"pde": {"nodes": 1e300}}, "need at most 1048576 space intervals"),
+    ("nx-1e300", "solve", {"outputs": {"nx": 1e300}}, "outputs.nx must be at most 1048576"),
+    ("nx-1e9", "solve", {"outputs": {"nx": 1e9}}, "outputs.nx must be at most 1048576, got 1000000000"),
     ("Pe-text", "solve", {"coefficients": {"family": "constant", "Pe": "x"}}, "coefficients.Pe must be a finite"),
     ("coefficients-list", "solve", {"coefficients": []}, "coefficients must be a JSON object"),
     ("table-missing", "solve", {"coefficients": {"family": "table", "path": "no.csv"}}, "no.csv does not exist"),
@@ -354,6 +359,21 @@ def test_nonconvergence_exit_codes(tmp_path):
     assert main(["solve", "--config", str(starved), "--quiet"]) == 2
     void = write_config(tmp_path / "void.json", **VOID)
     assert main(["solve", "--config", str(void), "--quiet"]) == 4
+
+
+# the fallback bracket starts at 1e-6, or where the V2 scan starts when lambda_max is below that
+@pytest.mark.parametrize("lambda_max", [1e-20, 1e-7, 5e-7])
+def test_lambda_max_below_the_fallback_start_fails_the_bracket(tmp_path, capsys, lambda_max):
+    # Pe > 0 puts the root lambda1 of V1 above 1e-6
+    cfg = write_config(
+        tmp_path / "cfg.json", coefficients={"family": "constant", "Pe": 0.5}, numerics={"lambda_max": lambda_max}
+    )
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "existence.json").read_text())["hypothesis_flags"]["analytic_bracket"] == "fails"
+    for command in ("solve", "verify-pde"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 4
+        assert "no sign change over the fallback bracket" in capsys.readouterr().err
 
 
 def count_certify(monkeypatch) -> list:

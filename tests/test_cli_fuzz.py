@@ -1,12 +1,13 @@
 """Random, partly invalid configs must end every command in an exit code.
 
 Each example starts from a valid config for one boundary condition and
-coefficient family, replaces one to three of its values by text, null, 0,
-a negative, 5e-324, 1e300 or another plain number, and runs one command on
-a 32-interval grid.  Any exit code of the CLI contract (0, 2, 3, 4) passes;
-an exception escaping ``main`` fails.  Iteration counts and PDE grids stay
-bounded: a config asking for 1e12 iterations asks for a long run, which is
-not a defect.
+coefficient family on a 32-interval grid, replaces one to three of its
+values by text, null, 0, a negative, 5e-324, 1e300 or another plain number,
+and runs one command.  Any exit code of the CLI contract (0, 2, 3, 4)
+passes; an exception escaping ``main`` fails.  Iteration counts stay
+bounded and grid sizes are either small or above the MAX_NODES cap: a
+config asking for 1e12 iterations or a grid just below the cap asks for a
+long run, which is not a defect.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from meltfront.cli import main
+from meltfront.kernels import MAX_NODES
 
 COMMANDS = ("solve", "certify", "oracle", "verify-pde")
 BCS = {
@@ -35,10 +37,14 @@ FAMILIES = {
 }
 REFERENCE = {"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}
 VALUES = st.sampled_from(["x", None, 0, -1.0, 5e-324, 1e300, 1e-12, 0.3, 2.0, 30.0, 400.0])
+# grid sizes that are unreadable, too small or above the cap, none of which builds a grid
+SIZES = ["x", None, 0, -1, 5e-324, MAX_NODES + 1, 1e300]
 # keys whose value sets a run length, each with values that keep it short
 BOUNDED = {
     ("numerics", "max_iter"): st.sampled_from(["x", None, 0, -1, 1, 50, 1000]),
-    ("pde", "nodes"): st.sampled_from(["x", None, 0, -1, 5e-324, 8, 16]),
+    ("numerics", "n"): st.sampled_from([*SIZES, 15, 16, 32]),
+    ("pde", "nodes"): st.sampled_from([*SIZES, 8, 16]),
+    ("outputs", "nx"): st.sampled_from([*SIZES, 2, 11]),
     ("pde", "t1"): st.sampled_from(["x", None, 0, -1.0, 5e-324, 1.0, 1.2]),
 }
 
@@ -56,8 +62,9 @@ def configs(draw):
     cfg = _with(
         draw(st.sampled_from(sorted(BCS))),
         draw(st.sampled_from(sorted(FAMILIES))),
-        numerics={"max_iter": 200, "inner_tol": 1e-10, "outer_tol": 1e-9, "lambda_max": 10.0},
+        numerics={"n": 32, "max_iter": 200, "inner_tol": 1e-10, "outer_tol": 1e-9, "lambda_max": 10.0},
         pde={"nodes": 8, "t0": 1.0, "t1": 1.05},
+        outputs={"times": [1.0, 2.0], "nx": 11},
     )
     keys = sorted((block, key) for block, values in cfg.items() for key in values if key not in ("kind", "family"))
     for block, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
@@ -78,6 +85,6 @@ def test_random_configs_end_in_an_exit_code(command, cfg):
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out"), "--grid", "32", "--quiet"])
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out"), "--quiet"])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from meltfront import (
     BCKind,
     ConfigError,
+    DimensionlessProblem,
     Dirichlet,
     Neumann,
     ProfileGrid,
@@ -18,6 +20,7 @@ from meltfront import (
     estimate_bounds,
     eval_kernels,
     linear_model,
+    linear_problem,
     table_model,
     table_model_from_csv,
 )
@@ -48,6 +51,49 @@ def test_linear_family_closed_form_constants():
     assert prob.mu_m == pytest.approx(Pe, abs=1e-15)
     assert prob.mu_M == pytest.approx(Pe * (1.0 + alpha), abs=1e-15)
     assert prob.mu_tilde == pytest.approx(Pe * alpha, abs=1e-15)
+
+
+# (k0, rho0, c0, ell) sets whose reductions round differently
+REFERENCE_SETS = [(1.0, 1.0, 1.0, 1.0), (3.0, 2.0, 5.0, 7.0), (0.37, 1.3e3, 2.9e-2, 4.1)]
+
+
+@pytest.mark.parametrize("reference", REFERENCE_SETS)
+@pytest.mark.parametrize(
+    "bc",
+    [
+        Dirichlet(T_star=2.0, T_m=1.0),
+        Robin(h=0.7, T_star=3.3, T_m=1.1),
+        Radiative(h=0.1, sigma=1.0, epsilon=0.25, T_star=1.5, T_m=0.2),
+    ],
+    ids=["dirichlet", "robin", "radiative"],
+)
+def test_constant_model_reduces_bitwise_like_the_linear_family_at_zero_slopes(bc, reference):
+    constant = build_dimensionless(constant_model(*reference, Pe=0.8), bc)
+    linear = build_dimensionless(
+        linear_model(*reference, alpha=0.0, beta=0.0, Pe=0.8, T_star=bc.T_star, T_m=bc.T_m), bc
+    )
+    for field in fields(DimensionlessProblem):
+        a, b = getattr(constant, field.name), getattr(linear, field.name)
+        if callable(a):
+            assert a(F_SAMPLES).tobytes() == b(F_SAMPLES).tobytes(), field.name
+        else:
+            assert repr(a) == repr(b), field.name
+
+
+@pytest.mark.parametrize("alpha, beta, Pe", [(0.3, 0.2, 0.7), (0.0, 1.7, 0.0), (2.9, 0.0, 13.1)])
+def test_linear_model_bounds_are_the_dimensionless_bounds_times_reference_constants(alpha, beta, Pe):
+    k0, rho0, c0, T_star, T_m = 1.7, 1.3, 2.9, 5.3, 2.1
+    bounds = linear_model(k0, rho0, c0, 3.0, alpha=alpha, beta=beta, Pe=Pe, T_star=T_star, T_m=T_m).bounds
+    prob = linear_problem(BCKind.DIRICHLET, alpha, beta, Pe, Ste=1.0)
+    gamma0, span = rho0 * c0, T_star - T_m
+    L, N = (prob.L_m, prob.L_M, prob.L_tilde), (prob.N_m, prob.N_M, prob.N_tilde)
+    for ref, (lo, hi, lip), got in (
+        (k0, L, (bounds.k_m, bounds.k_M, bounds.k_tilde)),
+        (gamma0, N, (bounds.gamma_m, bounds.gamma_M, bounds.gamma_tilde)),
+        # mu = rho0*c0*sqrt(alpha0)*Pe N, so its reference constant multiplies N's bounds
+        (gamma0 * math.sqrt(k0 / gamma0) * Pe, N, (bounds.nu_m, bounds.nu_M, bounds.nu_tilde)),
+    ):
+        assert got == (ref * lo, ref * hi, ref * lip / span)
 
 
 def test_robin_zero_h_gives_zero_biot():
@@ -181,7 +227,7 @@ def test_scaling_k_and_k0_together_is_invariant():
 
 def test_estimate_bounds_constant_model():
     model = constant_model(2.0, 1.0, 1.0, 1.0, Pe=0.3)
-    b = estimate_bounds(model, (1.0, 2.0), samples=33)
+    b = estimate_bounds(model, (1.0, 2.0))
     assert b.k_m == b.k_M == pytest.approx(2.0)
     assert b.k_tilde == pytest.approx(0.0, abs=1e-14)
     assert not b.certified
@@ -190,7 +236,7 @@ def test_estimate_bounds_constant_model():
 def test_estimate_bounds_linear_conductivity():
     # k(T) = k0 (1 + 0.2 (T - T_star)/(T_m - T_star)) on [T_m, T_star]
     model = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=0.2, Pe=0.0, T_star=2.0, T_m=1.0)
-    b = estimate_bounds(model, (1.0, 2.0), samples=65)
+    b = estimate_bounds(model, (1.0, 2.0))
     assert b.k_m == pytest.approx(1.0)
     assert b.k_M == pytest.approx(1.2)
 
@@ -201,8 +247,8 @@ def test_estimate_bounds_brackets_table_spike():
     k = np.full(9, 2.0)
     k[4] = 3.5  # interior spike
     model = table_model(T, k, np.full(9, 1.0), np.zeros(9), 2.0, 1.0, 1.0, 1.0)
-    samples = 257
-    b = estimate_bounds(model, (1.0, 2.0), samples=samples)
+    samples = 257  # estimate_bounds' own sample count
+    b = estimate_bounds(model, (1.0, 2.0))
     Ts = np.linspace(1.0, 2.0, samples)
     vals = np.interp(Ts, T, k)
     assert b.k_m == pytest.approx(float(vals.min()))
@@ -223,7 +269,7 @@ def test_estimate_bounds_rejects_nonpositive_coefficient():
         ell=1.0,
     )
     with pytest.raises(ConfigError, match="non-positive"):
-        estimate_bounds(model, (1.0, 2.0), samples=17)
+        estimate_bounds(model, (1.0, 2.0))
 
 
 def test_model_without_bounds_gets_sampled_bounds():
