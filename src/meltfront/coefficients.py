@@ -134,6 +134,12 @@ class ThermalModel:
     bounds : CoefficientBounds, optional
         Bounds over the working temperature range.  When absent they are
         estimated by sampling at build time.
+    family : tuple, optional
+        What :func:`linear_model` built the model from: the
+        :func:`_linear_family` pairs and theta's anchors ``(T_star, T_m)``.
+        :func:`build_dimensionless` reduces such a model to the family's own
+        L, N and mu where theta(T(f)) is f or does not matter, so a copy
+        with other k, rho_c or mu must set it to None.
     """
 
     k: Callable
@@ -144,6 +150,7 @@ class ThermalModel:
     c0: float
     ell: float
     bounds: CoefficientBounds | None = None
+    family: tuple | None = None
 
     def __post_init__(self):
         _check_reference(self.k0, self.rho0, self.c0, self.ell)
@@ -214,7 +221,8 @@ def linear_model(
     is the family's bound times its reference constant (the Lipschitz one
     divided by T_star - T_m), so the bounds are exact on f in [0, 1].
     """
-    (L, L_bounds), (N, N_bounds), _ = _linear_family(alpha, beta, Pe)
+    family = _linear_family(alpha, beta, Pe)
+    (L, L_bounds), (N, N_bounds), _ = family
     _check_reference(k0, rho0, c0, ell)
     if not T_star > T_m:
         raise ConfigError(f"linear family requires T_star > T_m, got T_star={T_star}, T_m={T_m}")
@@ -232,7 +240,8 @@ def linear_model(
     k, k_bounds = scaled(k0, L, L_bounds)
     rho_c, gamma_bounds = scaled(gamma0, N, N_bounds)
     mu, nu_bounds = scaled(gamma0 * math.sqrt(alpha0) * Pe, N, N_bounds)
-    return ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, CoefficientBounds(*k_bounds, *gamma_bounds, *nu_bounds))
+    bounds = CoefficientBounds(*k_bounds, *gamma_bounds, *nu_bounds)
+    return ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, bounds, (family, (T_star, T_m)))
 
 
 def load_coefficient_table(path: str | Path) -> dict[str, np.ndarray]:
@@ -516,6 +525,12 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
     the Lipschitz constants absorb the temperature-scale factor
     (T_star - T_m for Dirichlet/Robin/radiative, |T_m| for Neumann).
 
+    Models from :func:`linear_model` and :func:`constant_model` skip the
+    composition: they reduce to the family's own L, N and mu when its slopes
+    are zero, or when the condition is not Neumann and has theta's anchors
+    T_star and T_m, since theta(T(f)) = f there.  Tables, Python-API models
+    and other anchors are composed.
+
     When the model carries no bounds they are estimated by sampling over
     the kind-appropriate span, which marks the result as not analytically
     certified.
@@ -534,12 +549,19 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
     alpha0 = model.alpha0
     scale = abs(bc.T_m) if kind is BCKind.NEUMANN else bc.T_star - bc.T_m
 
-    # callers evaluate these through eval_coefficient, which also covers
-    # scalar-only model callables
-    k_fn, g_fn, m_fn = model.k, model.rho_c, model.mu
-    L_star = lambda f: k_fn(temperature_of_f(bc, f)) / k0
-    N_star = lambda f: g_fn(temperature_of_f(bc, f)) / gamma0
-    mu_star = lambda f: m_fn(temperature_of_f(bc, f)) / mu0
+    coefs, anchors = model.family or (None, None)
+    if coefs and (
+        all(lip == 0.0 for _, (_, _, lip) in coefs)
+        or (kind is not BCKind.NEUMANN and (bc.T_star, bc.T_m) == anchors)
+    ):
+        L_star, N_star, mu_star = (fn for fn, _ in coefs)
+    else:
+        # callers evaluate these through eval_coefficient, which also covers
+        # scalar-only model callables
+        k_fn, g_fn, m_fn = model.k, model.rho_c, model.mu
+        L_star = lambda f: k_fn(temperature_of_f(bc, f)) / k0
+        N_star = lambda f: g_fn(temperature_of_f(bc, f)) / gamma0
+        mu_star = lambda f: m_fn(temperature_of_f(bc, f)) / mu0
 
     params: dict[str, float | None] = dict(Ste=None, q_star=None, M=None, Bi=None, r=None, T_star=None, T_m=None)
     if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):

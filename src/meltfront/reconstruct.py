@@ -2,8 +2,10 @@
 
 The dimensionless profile f on [0, lambda] maps back through the scaled
 temperature map of the reduction, :func:`coefficients.temperature_of_f`, at
-xi = x / (2 sqrt(alpha0 t)), so a reconstructed temperature gives the
-reduced coefficients to the last bit.  The front follows
+xi = x / (2 sqrt(alpha0 t)).  For a composed model (a table or Python-API
+callables) a reconstructed temperature gives the reduced coefficients to
+the last bit; constant and linear models reduce straight to their
+dimensionless family, which matches within a few ulp.  The front follows
 s(t) = 2 lambda sqrt(alpha0 t).  Queries beyond the front return None: the
 one-phase model defines no temperature there.
 """

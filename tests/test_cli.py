@@ -2,10 +2,15 @@ import copy
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import meltfront
 from meltfront import ConvergenceError, cli, dirichlet_constant, existence
 from meltfront.cli import main
 
@@ -414,3 +419,24 @@ def test_verify_pde_failure_after_the_solve_reads_its_certificate(tmp_path, monk
     cfg = write_config(tmp_path / "cfg.json", coefficients=coefficients)
     assert main(["verify-pde", "--config", str(cfg), "--out", str(tmp_path / "out"), "--grid", "64", "--quiet"]) == code
     assert len(calls) == 1
+
+
+def test_verify_pde_blow_up_prints_only_its_error_line(tmp_path):
+    # a melting temperature near the float maximum overflows the march at its first step;
+    # a fresh interpreter prints numpy's floating-point warnings as a plain CLI run would
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        bc={"kind": "neumann", "q": 0.5},
+        coefficients={"family": "constant", "Pe": 0.5},
+        reference={"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.5e308},
+    )
+    argv = ["verify-pde", "--config", str(cfg), "--out", str(tmp_path / "out"), "--grid", "32", "--quiet"]
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from meltfront.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(meltfront.__file__).resolve().parents[1])),
+    )
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert lines[0].startswith("error [verify-pde]: front-fixed scheme unstable at step 1 "), run.stderr

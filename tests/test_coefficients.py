@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,9 +21,11 @@ from meltfront import (
     eval_kernels,
     linear_model,
     linear_problem,
+    solve_lambda,
     table_model,
     table_model_from_csv,
 )
+from meltfront.coefficients import temperature_of_f
 
 F_SAMPLES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -78,6 +80,87 @@ def test_constant_model_reduces_bitwise_like_the_linear_family_at_zero_slopes(bc
             assert a(F_SAMPLES).tobytes() == b(F_SAMPLES).tobytes(), field.name
         else:
             assert repr(a) == repr(b), field.name
+
+
+F_DENSE = np.linspace(0.0, 1.0, 257)
+ANCHORED_BCS = [
+    Dirichlet(T_star=2.0, T_m=1.0),
+    Robin(h=0.7, T_star=3.3, T_m=1.1),
+    Radiative(h=0.1, sigma=1.0, epsilon=0.25, T_star=1.5, T_m=0.2),
+]
+
+
+def composed_coefficients(model, bc, f):
+    """The model's dimensional coefficients through the temperature map, over their reference constants."""
+    gamma0 = model.rho0 * model.c0
+    T = temperature_of_f(bc, f)
+    return model.k(T) / model.k0, model.rho_c(T) / gamma0, model.mu(T) / math.sqrt(gamma0 * model.k0)
+
+
+def reduced_coefficients(prob, f):
+    return prob.L_star(f), prob.N_star(f), prob.mu_star(f)
+
+
+@pytest.mark.parametrize("reference", REFERENCE_SETS)
+@pytest.mark.parametrize("bc", ANCHORED_BCS, ids=["dirichlet", "robin", "radiative"])
+@pytest.mark.parametrize("family", ["constant", "linear"])
+def test_linear_family_models_reduce_directly_within_4_ulp_of_the_composition(family, bc, reference):
+    if family == "constant":
+        model = constant_model(*reference, Pe=0.8)
+    else:
+        model = linear_model(*reference, alpha=0.3, beta=0.2, Pe=0.7, T_star=bc.T_star, T_m=bc.T_m)
+    prob = build_dimensionless(model, bc)
+    (L, _), (N, _), (mu, _) = model.family[0]
+    assert (prob.L_star, prob.N_star, prob.mu_star) == (L, N, mu)
+    for got, composed in zip(reduced_coefficients(prob, F_DENSE), composed_coefficients(model, bc, F_DENSE)):
+        np.testing.assert_array_max_ulp(got, composed, maxulp=4)
+    # everything but the callables is what the composed reduction gives
+    composed_prob = build_dimensionless(replace(model, family=None), bc)
+    for field in fields(DimensionlessProblem):
+        if not callable(getattr(prob, field.name)):
+            assert repr(getattr(prob, field.name)) == repr(getattr(composed_prob, field.name)), field.name
+
+
+@pytest.mark.parametrize(
+    "model, bc",
+    [
+        # theta's anchors differ from the condition's, so theta(T(f)) is not f
+        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=5.0, T_m=0.5),
+         Dirichlet(T_star=2.0, T_m=1.0)),
+        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=0.5),
+         Robin(h=0.7, T_star=2.0, T_m=1.0)),
+        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=3.0, T_m=1.0),
+         Dirichlet(T_star=2.0, T_m=1.0)),
+        # the Neumann map is T_m (1 + f) whatever the anchors
+        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=1.0), Neumann(q=0.5, T_m=1.0)),
+        (linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=0.4, Pe=0.0, T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)),
+        (linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.4, beta=0.0, Pe=0.5, T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)),
+    ],
+    ids=["dirichlet-both-anchors", "robin-T_m", "dirichlet-T_star", "neumann", "neumann-beta", "neumann-alpha"],
+)
+def test_other_maps_keep_the_composed_coefficients_bitwise(model, bc):
+    f = np.linspace(0.0, 1.5, 193)
+    for got, composed in zip(reduced_coefficients(build_dimensionless(model, bc), f), composed_coefficients(model, bc, f)):
+        assert got.tobytes() == composed.tobytes()
+
+
+def test_a_linear_family_solve_never_calls_the_dimensional_coefficients():
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(T):
+            calls.append(name)
+            return fn(T)
+        return wrapped
+
+    bc = Dirichlet(T_star=2.0, T_m=1.0)
+    base = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.1, beta=0.1, Pe=0.5, T_star=2.0, T_m=1.0)
+    model = replace(base, **{name: counting(name, getattr(base, name)) for name in ("k", "rho_c", "mu")})
+    solve_lambda(build_dimensionless(model, bc))
+    assert calls == []
+    # the same wrappers count the calls of the composed reduction
+    solve_lambda(build_dimensionless(replace(model, family=None), bc))
+    assert {"k", "rho_c", "mu"} <= set(calls)
 
 
 @pytest.mark.parametrize("alpha, beta, Pe", [(0.3, 0.2, 0.7), (0.0, 1.7, 0.0), (2.9, 0.0, 13.1)])
