@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, ClassVar, Union
@@ -134,12 +134,14 @@ class ThermalModel:
     bounds : CoefficientBounds, optional
         Bounds over the working temperature range.  When absent they are
         estimated by sampling at build time.
-    family : tuple, optional
-        What :func:`linear_model` built the model from: the
-        :func:`_linear_family` pairs and theta's anchors ``(T_star, T_m)``.
-        :func:`build_dimensionless` reduces such a model to the family's own
-        L, N and mu where theta(T(f)) is f or does not matter, so a copy
-        with other k, rho_c or mu must set it to None.
+    family : tuple or None
+        Not a constructor argument.  :func:`linear_model` records here what
+        it built the model from: the :func:`_linear_family` pairs and
+        theta's anchors ``(T_star, T_m)``.  :func:`build_dimensionless`
+        reduces such a model to the family's own L, N and mu where
+        theta(T(f)) is f or does not matter.  Every other model, including
+        a ``dataclasses.replace`` copy, has None and is composed through
+        k, rho_c and mu.
     """
 
     k: Callable
@@ -150,7 +152,7 @@ class ThermalModel:
     c0: float
     ell: float
     bounds: CoefficientBounds | None = None
-    family: tuple | None = None
+    family: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_reference(self.k0, self.rho0, self.c0, self.ell)
@@ -241,7 +243,9 @@ def linear_model(
     rho_c, gamma_bounds = scaled(gamma0, N, N_bounds)
     mu, nu_bounds = scaled(gamma0 * math.sqrt(alpha0) * Pe, N, N_bounds)
     bounds = CoefficientBounds(*k_bounds, *gamma_bounds, *nu_bounds)
-    return ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, bounds, (family, (T_star, T_m)))
+    model = ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, bounds)
+    object.__setattr__(model, "family", (family, (T_star, T_m)))
+    return model
 
 
 def load_coefficient_table(path: str | Path) -> dict[str, np.ndarray]:

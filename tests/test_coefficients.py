@@ -101,6 +101,11 @@ def reduced_coefficients(prob, f):
     return prob.L_star(f), prob.N_star(f), prob.mu_star(f)
 
 
+def composed_copy(model):
+    """The same coefficients and constants as a model that records no family."""
+    return ThermalModel(model.k, model.rho_c, model.mu, model.k0, model.rho0, model.c0, model.ell, model.bounds)
+
+
 @pytest.mark.parametrize("reference", REFERENCE_SETS)
 @pytest.mark.parametrize("bc", ANCHORED_BCS, ids=["dirichlet", "robin", "radiative"])
 @pytest.mark.parametrize("family", ["constant", "linear"])
@@ -115,7 +120,7 @@ def test_linear_family_models_reduce_directly_within_4_ulp_of_the_composition(fa
     for got, composed in zip(reduced_coefficients(prob, F_DENSE), composed_coefficients(model, bc, F_DENSE)):
         np.testing.assert_array_max_ulp(got, composed, maxulp=4)
     # everything but the callables is what the composed reduction gives
-    composed_prob = build_dimensionless(replace(model, family=None), bc)
+    composed_prob = build_dimensionless(composed_copy(model), bc)
     for field in fields(DimensionlessProblem):
         if not callable(getattr(prob, field.name)):
             assert repr(getattr(prob, field.name)) == repr(getattr(composed_prob, field.name)), field.name
@@ -154,13 +159,29 @@ def test_a_linear_family_solve_never_calls_the_dimensional_coefficients():
         return wrapped
 
     bc = Dirichlet(T_star=2.0, T_m=1.0)
-    base = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.1, beta=0.1, Pe=0.5, T_star=2.0, T_m=1.0)
-    model = replace(base, **{name: counting(name, getattr(base, name)) for name in ("k", "rho_c", "mu")})
+    model = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.1, beta=0.1, Pe=0.5, T_star=2.0, T_m=1.0)
+    # wrap the model's own callables in place, so it keeps the family linear_model recorded
+    for name in ("k", "rho_c", "mu"):
+        object.__setattr__(model, name, counting(name, getattr(model, name)))
     solve_lambda(build_dimensionless(model, bc))
     assert calls == []
     # the same wrappers count the calls of the composed reduction
-    solve_lambda(build_dimensionless(replace(model, family=None), bc))
+    solve_lambda(build_dimensionless(composed_copy(model), bc))
     assert {"k", "rho_c", "mu"} <= set(calls)
+
+
+def test_a_copy_with_other_coefficients_records_no_family_and_is_composed():
+    bc = Dirichlet(T_star=2.0, T_m=1.0)
+    model = linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=1.0)
+    other = linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=1.5, Pe=0.7, T_star=2.0, T_m=1.0).k
+    copy = replace(model, k=other)
+    assert model.family is not None and copy.family is None
+    with pytest.raises(TypeError):
+        ThermalModel(model.k, model.rho_c, model.mu, 3.0, 2.0, 5.0, 7.0, family=model.family)
+    for got, composed in zip(reduced_coefficients(build_dimensionless(copy, bc), F_DENSE),
+                             composed_coefficients(copy, bc, F_DENSE)):
+        assert got.tobytes() == composed.tobytes()
+    assert build_dimensionless(copy, bc).L_star(1.0) == pytest.approx(2.5)
 
 
 @pytest.mark.parametrize("alpha, beta, Pe", [(0.3, 0.2, 0.7), (0.0, 1.7, 0.0), (2.9, 0.0, 13.1)])
