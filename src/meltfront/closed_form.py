@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfc, erfcx
 
 from .coefficients import BCKind
 from .errors import BracketError, ConfigError
@@ -41,6 +41,13 @@ class ClosedFormSolution:
     roots: tuple[float, ...]
 
 
+def _erf_gap(b, a, s):
+    """(erf(b) - erf(a)) exp(s^2) for b >= a; where erfc(a) < erf(b) it is taken from erfcx, so it does not cancel."""
+    tails = erfcx(a) * np.exp((s - a) * (s + a)) - erfcx(b) * np.exp((s - b) * (s + b))
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(s^2) overflows only where the tails are taken
+        return np.where(erfc(a) < erf(b), tails, (erf(b) - erf(a)) * np.exp(s**2))
+
+
 def dirichlet_constant(Ste: float, Pe: float = 0.0, lambda_max: float = 10.0) -> ClosedFormSolution:
     """Front coefficient and erf-ratio profile for an imposed face temperature.
 
@@ -53,16 +60,16 @@ def dirichlet_constant(Ste: float, Pe: float = 0.0, lambda_max: float = 10.0) ->
         raise ConfigError(f"Pe must be non-negative, got {Pe}")
 
     def resid(lam):
-        return math.sqrt(math.pi) * lam * (erf(Pe) - erf(Pe - lam)) * np.exp((Pe - lam) ** 2) - Ste
+        return math.sqrt(math.pi) * lam * _erf_gap(Pe, Pe - lam, Pe - lam) - Ste
 
     intervals = sign_change_intervals(resid, lambda_max * 1e-12, lambda_max, 4096)
     if not intervals:
         raise BracketError(f"no front coefficient below {lambda_max} for Ste={Ste}, Pe={Pe}")
     lam = bisect_root(resid, *intervals[0], xtol=1e-14)
-    denom = erf(Pe) - erf(Pe - lam)
+    denom = _erf_gap(Pe, Pe - lam, Pe - lam)
 
     def profile(xi):
-        return (erf(Pe) - erf(Pe - np.asarray(xi, dtype=float))) / denom
+        return _erf_gap(Pe, Pe - np.asarray(xi, dtype=float), Pe - lam) / denom
 
     return ClosedFormSolution(lam, profile, BCKind.DIRICHLET, unique=True, roots=(lam,))
 
@@ -104,6 +111,6 @@ def neumann_constant(
         raise ConfigError(f"the closed-form profile amplitude exp(Pe^2) overflows at Pe={Pe!r}") from None
 
     def profile(xi):
-        return amp * (erf(Pe - np.asarray(xi, dtype=float)) - erf(Pe - lam))
+        return amp * _erf_gap(Pe - np.asarray(xi, dtype=float), Pe - lam, 0.0)
 
     return ClosedFormSolution(lam, profile, BCKind.NEUMANN, unique=Pe <= math.sqrt(2.0), roots=roots)

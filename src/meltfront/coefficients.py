@@ -135,13 +135,9 @@ class ThermalModel:
         Bounds over the working temperature range.  When absent they are
         estimated by sampling at build time.
     family : tuple or None
-        Not a constructor argument.  :func:`linear_model` records here what
-        it built the model from: the :func:`_linear_family` pairs and
-        theta's anchors ``(T_star, T_m)``.  :func:`build_dimensionless`
-        reduces such a model to the family's own L, N and mu where
-        theta(T(f)) is f or does not matter.  Every other model, including
-        a ``dataclasses.replace`` copy, has None and is composed through
-        k, rho_c and mu.
+        Not a constructor argument: the ``(alpha, beta, Pe, T_star, T_m)``
+        that :func:`linear_model` built the model from.  Every other model,
+        including a ``dataclasses.replace`` copy, has None.
     """
 
     k: Callable
@@ -179,19 +175,24 @@ def _check_reference(k0: float, rho0: float, c0: float, ell: float) -> None:
     _check_positive("reference product rho0*c0*k0", rho0 * c0 * k0)
 
 
-def _linear_family(alpha: float, beta: float, Pe: float):
-    """The linear family on u in [0, 1]: L(u) = 1 + beta u, N(u) = 1 + alpha u and mu(u) = Pe N(u).
+def _linear_family(alpha: float, beta: float, Pe: float, theta0: float = 0.0, theta1: float = 1.0):
+    """The linear family at theta = theta0 + theta1 u: L = 1 + beta theta, N = 1 + alpha theta, mu = Pe N.
 
     Returns one ``(function, (min, max, Lipschitz))`` pair for each of L, N
-    and mu; the triples are exact on [0, 1].
+    and mu.  Each function is evaluated as c0 + c1 u, whose rounded values on
+    u in [0, 1] lie between those at the ends, so the triples (the two end
+    values and |c1|) are exact on [0, 1].  The defaults give theta = u.
     """
     if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
         raise ConfigError("alpha, beta and Pe must be non-negative")
-    a, b = float(alpha), float(beta)
-    L = lambda u: 1.0 + b * np.asarray(u, dtype=float)
-    N = lambda u: 1.0 + a * np.asarray(u, dtype=float)
+
+    def affine(slope: float):
+        c0, c1 = 1.0 + slope * theta0, slope * theta1
+        return (lambda u: c0 + c1 * np.asarray(u, dtype=float)), (min(c0, c0 + c1), max(c0, c0 + c1), abs(c1))
+
+    N, N_bounds = affine(float(alpha))
     mu = lambda u: Pe * N(u)
-    return (L, (1.0, 1.0 + b, b)), (N, (1.0, 1.0 + a, a)), (mu, (Pe, Pe * (1.0 + a), Pe * a))
+    return affine(float(beta)), (N, N_bounds), (mu, tuple(Pe * b for b in N_bounds))
 
 
 def constant_model(k0: float, rho0: float, c0: float, ell: float, Pe: float = 0.0) -> ThermalModel:
@@ -219,32 +220,20 @@ def linear_model(
     rho*c(T) = rho0*c0 N(theta), i.e. rho = rho0 and c(T) = c0 * (1 + alpha * theta),
     mu(T) = rho0*c0*sqrt(alpha0)*Pe N(theta).
 
-    The Dirichlet-type scaled temperature makes theta = f, and each bound
-    is the family's bound times its reference constant (the Lipschitz one
-    divided by T_star - T_m), so the bounds are exact on f in [0, 1].
+    The model carries no bounds; it records ``(alpha, beta, Pe, T_star, T_m)``
+    as its ``family``, from which :func:`build_dimensionless` reduces it.
     """
-    family = _linear_family(alpha, beta, Pe)
-    (L, L_bounds), (N, N_bounds), _ = family
+    (L, _), (N, _), _ = _linear_family(alpha, beta, Pe)
     _check_reference(k0, rho0, c0, ell)
     if not T_star > T_m:
         raise ConfigError(f"linear family requires T_star > T_m, got T_star={T_star}, T_m={T_m}")
-    alpha0 = k0 / (rho0 * c0)
     gamma0 = rho0 * c0
-    span = T_star - T_m
-
-    def theta(T):
-        return (np.asarray(T, dtype=float) - T_star) / (T_m - T_star)
-
-    def scaled(ref, fn, bounds):
-        lo, hi, lip = bounds
-        return (lambda T: ref * fn(theta(T))), (ref * lo, ref * hi, ref * lip / span)
-
-    k, k_bounds = scaled(k0, L, L_bounds)
-    rho_c, gamma_bounds = scaled(gamma0, N, N_bounds)
-    mu, nu_bounds = scaled(gamma0 * math.sqrt(alpha0) * Pe, N, N_bounds)
-    bounds = CoefficientBounds(*k_bounds, *gamma_bounds, *nu_bounds)
-    model = ThermalModel(k, rho_c, mu, k0, rho0, c0, ell, bounds)
-    object.__setattr__(model, "family", (family, (T_star, T_m)))
+    nu0 = gamma0 * math.sqrt(k0 / gamma0) * Pe
+    theta = lambda T: (np.asarray(T, dtype=float) - T_star) / (T_m - T_star)
+    model = ThermalModel(
+        lambda T: k0 * L(theta(T)), lambda T: gamma0 * N(theta(T)), lambda T: nu0 * N(theta(T)), k0, rho0, c0, ell
+    )
+    object.__setattr__(model, "family", (alpha, beta, Pe, T_star, T_m))
     return model
 
 
@@ -448,8 +437,8 @@ def temperature_of_f(bc: BoundaryCondition, f):
 class DimensionlessProblem:
     """Everything the similarity solver needs for one boundary-condition kind.
 
-    The functions take the scaled temperature f (scalar or array) and return
-    positive values.  The nine constants bound them on f in [0, 1]:
+    The functions take the scaled temperature f (scalar or array): L* and N*
+    are positive, mu* is non-negative.  The nine constants bound them on f in [0, 1]:
     L_m <= L*(f) <= L_M with Lipschitz constant L_tilde, and likewise for
     N* and mu*.  Parameters not used by ``bc_kind`` are None.  The bounds
     and the parameters in use must be finite.  A radiative problem needs
@@ -524,42 +513,44 @@ class DimensionlessProblem:
 def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> DimensionlessProblem:
     """Reduce a dimensional model plus boundary condition to a DimensionlessProblem.
 
-    The coefficient functions are composed through the kind-appropriate
-    temperature map, the bounds are rescaled by the reference constants, and
-    the Lipschitz constants absorb the temperature-scale factor
-    (T_star - T_m for Dirichlet/Robin/radiative, |T_m| for Neumann).
+    A model from :func:`linear_model` or :func:`constant_model` is affine in
+    its theta, and every temperature map is affine in f, so theta(T(f)) =
+    theta0 + theta1 f exactly: theta0 is theta at f = 0 and theta1 is
+    dT/df over the model's T_m - T_star.  Such a model reduces to
+    :func:`_linear_family` at (theta0, theta1), with that family's exact
+    bounds on f in [0, 1], and its k, rho_c and mu are never called.
 
-    Models from :func:`linear_model` and :func:`constant_model` skip the
-    composition: they reduce to the family's own L, N and mu when its slopes
-    are zero, or when the condition is not Neumann and has theta's anchors
-    T_star and T_m, since theta(T(f)) = f there.  Tables, Python-API models
-    and other anchors are composed.
-
-    When the model carries no bounds they are estimated by sampling over
-    the kind-appropriate span, which marks the result as not analytically
-    certified.
+    Any other model is composed through the kind-appropriate temperature
+    map: its bounds are rescaled by the reference constants, and the
+    Lipschitz constants absorb the temperature-scale factor (T_star - T_m
+    for Dirichlet/Robin/radiative, |T_m| for Neumann).  When it carries no
+    bounds they are estimated by sampling over the kind-appropriate span,
+    which marks the result as not analytically certified.
     """
     kind = bc.kind
     if kind is BCKind.NEUMANN and not bc.T_m > 0.0:
         raise ConfigError(f"Neumann reduction needs T_m > 0 (q* and M are undefined otherwise), got T_m={bc.T_m}")
 
-    bounds = model.bounds
-    if bounds is None:
-        # Neumann profiles have no a-priori range: sample one melting-temperature span above T_m > 0
-        bounds = estimate_bounds(model, (bc.T_m, 2.0 * bc.T_m) if kind is BCKind.NEUMANN else (bc.T_m, bc.T_star))
-
     k0, gamma0 = model.k0, model.rho0 * model.c0
     mu0 = math.sqrt(gamma0 * k0)
     alpha0 = model.alpha0
-    scale = abs(bc.T_m) if kind is BCKind.NEUMANN else bc.T_star - bc.T_m
 
-    coefs, anchors = model.family or (None, None)
-    if coefs and (
-        all(lip == 0.0 for _, (_, _, lip) in coefs)
-        or (kind is not BCKind.NEUMANN and (bc.T_star, bc.T_m) == anchors)
-    ):
-        L_star, N_star, mu_star = (fn for fn, _ in coefs)
+    if model.family:
+        alpha, beta, Pe, T_star, T_m = model.family
+        # T(0) and dT/df of temperature_of_f
+        T0, dT = (bc.T_m, bc.T_m) if kind is BCKind.NEUMANN else (bc.T_star, bc.T_m - bc.T_star)
+        coefs = _linear_family(alpha, beta, Pe, (T0 - T_star) / (T_m - T_star), dT / (T_m - T_star))
+        (L_star, L_bounds), (N_star, N_bounds), (mu_star, mu_bounds) = coefs
+        bounds_certified = True
     else:
+        # Neumann profiles have no a-priori range: sample one melting-temperature span above T_m > 0
+        T_range = (bc.T_m, 2.0 * bc.T_m) if kind is BCKind.NEUMANN else (bc.T_m, bc.T_star)
+        bounds = model.bounds or estimate_bounds(model, T_range)
+        scale = abs(bc.T_m) if kind is BCKind.NEUMANN else bc.T_star - bc.T_m
+        L_bounds = (bounds.k_m / k0, bounds.k_M / k0, bounds.k_tilde * scale / k0)
+        N_bounds = (bounds.gamma_m / gamma0, bounds.gamma_M / gamma0, bounds.gamma_tilde * scale / gamma0)
+        mu_bounds = (bounds.nu_m / mu0, bounds.nu_M / mu0, bounds.nu_tilde * scale / mu0)
+        bounds_certified = bounds.certified
         # callers evaluate these through eval_coefficient, which also covers
         # scalar-only model callables
         k_fn, g_fn, m_fn = model.k, model.rho_c, model.mu
@@ -575,7 +566,8 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
     if kind is BCKind.NEUMANN:
         _check_positive("the q* divisor k0*T_m", k0 * bc.T_m)
         params["q_star"] = 2.0 * bc.q * math.sqrt(alpha0) / (k0 * bc.T_m)
-        k_at_melt = float(eval_coefficient(model.k, bc.T_m))
+        # the Neumann map puts T_m at f = 0
+        k_at_melt = k0 * float(L_star(0.0)) if model.family else float(eval_coefficient(model.k, bc.T_m))
         if not k_at_melt > 0.0:
             raise ConfigError(f"k(T_m) must be positive, got {k_at_melt}")
         _check_positive("the M divisor T_m*c0*k(T_m)", bc.T_m * model.c0 * k_at_melt)
@@ -590,20 +582,14 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         params["r"] = 2.0 * bc.sigma * bc.epsilon * math.sqrt(alpha0) / (k0 * (bc.T_star - bc.T_m))
 
     return DimensionlessProblem(
-        L_star=L_star,
-        N_star=N_star,
-        mu_star=mu_star,
-        L_m=bounds.k_m / k0,
-        L_M=bounds.k_M / k0,
-        L_tilde=bounds.k_tilde * scale / k0,
-        N_m=bounds.gamma_m / gamma0,
-        N_M=bounds.gamma_M / gamma0,
-        N_tilde=bounds.gamma_tilde * scale / gamma0,
-        mu_m=bounds.nu_m / mu0,
-        mu_M=bounds.nu_M / mu0,
-        mu_tilde=bounds.nu_tilde * scale / mu0,
+        L_star,
+        N_star,
+        mu_star,
+        *L_bounds,
+        *N_bounds,
+        *mu_bounds,
         bc_kind=kind,
-        bounds_certified=bounds.certified,
+        bounds_certified=bounds_certified,
         **params,
     )
 

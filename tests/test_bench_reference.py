@@ -1,8 +1,8 @@
 """The benchmark's pinned ``certified`` flags match what the package certifies.
 
-``bench/reference.json`` pins the flag of each ``solve`` config that
-``bench/workloads.py`` builds; a change that flips one would otherwise only
-show when the benchmark runs.
+``bench/reference.json`` pins the flag of each ``solve`` config and each
+``sweep-fine`` case that ``bench/workloads.py`` builds; a change that flips
+one would otherwise only show when the benchmark runs.
 """
 
 import importlib.util
@@ -25,7 +25,8 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-PINNED = json.loads((BENCH / "reference.json").read_text())["solve"]
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
+PINNED = REFERENCE["solve"]
 
 
 @pytest.mark.parametrize("name", WORKLOADS.solve_names())
@@ -33,3 +34,16 @@ def test_bench_solve_config_certified_flag_matches_the_reference(tmp_path, name)
     table = WORKLOADS.write_table(tmp_path / WORKLOADS.TABLE_NAME)
     problem = build_problem(WORKLOADS.solve_config(name, table))
     assert certify(problem.prob, problem.settings).certified is PINNED[name]["certified"]
+
+
+def test_bench_sweep_cases_certified_flags_match_the_reference():
+    base = WORKLOADS.sweep_config()
+    del base["sweep"]
+    flags = {}
+    for row in REFERENCE["sweep-fine"]:
+        for name in ("alpha", "beta", "Pe"):
+            base["coefficients"][name] = row[name]
+        problem = build_problem(base, WORKLOADS.SWEEP_GRID)
+        flags[WORKLOADS.sweep_key(row["alpha"], row["beta"], row["Pe"])] = certify(problem.prob, problem.settings).certified
+    assert sorted(flags) == sorted(WORKLOADS.sweep_cases())
+    assert flags == {WORKLOADS.sweep_key(r["alpha"], r["beta"], r["Pe"]): r["certified"] for r in REFERENCE["sweep-fine"]}

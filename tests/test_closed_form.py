@@ -102,3 +102,19 @@ def test_pipeline_reproduces_oracles():
             oracle = neumann_constant(load, Pe, q_star=2.0 * load)
             assert abs(report.lambda_tilde - oracle.lam) <= 1e-6
             assert float(np.max(np.abs(report.profile.f - oracle.profile(report.profile.xi)))) <= 1e-6
+
+
+# 50-digit mpmath roots and profile values of the closed forms as the module docstring states them
+@pytest.mark.parametrize("Pe, lam", [(8.0, 4.0598998902281639376), (12.0, 6.0408464026683592138)])
+def test_dirichlet_root_keeps_its_digits_at_large_peclet_numbers(Pe, lam):
+    # erf(Pe) - erf(Pe - lam) cancels here: it gave 6.078412804205492 at Pe = 12
+    assert dirichlet_constant(1.0, Pe).lam == pytest.approx(lam, rel=1e-13)
+
+
+def test_neumann_profile_keeps_its_digits_at_large_peclet_numbers():
+    # erf(Pe - xi) - erf(Pe - lam) rounds to 0 here, so the profile read 0 everywhere
+    sol = neumann_constant(0.01, 8.0)
+    assert sol.lam == pytest.approx(0.012142589748552219731, rel=1e-13)
+    assert sol.profile(np.array([0.0, sol.lam / 2.0])) == pytest.approx(
+        [2.6803370992929171468e-4, 1.4051601975982306511e-4], rel=1e-12
+    )

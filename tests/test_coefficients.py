@@ -15,6 +15,7 @@ from meltfront import (
     Robin,
     ThermalModel,
     build_dimensionless,
+    certify,
     constant_model,
     constant_problem,
     estimate_bounds,
@@ -106,50 +107,99 @@ def composed_copy(model):
     return ThermalModel(model.k, model.rho_c, model.mu, model.k0, model.rho0, model.c0, model.ell, model.bounds)
 
 
+def assert_bounds_hold(prob, f):
+    """Each stated min and max is attained on ``f`` and the Lipschitz constants bound every increment."""
+    for name, fn in (("L", prob.L_star), ("N", prob.N_star), ("mu", prob.mu_star)):
+        vals = fn(f)
+        lo, hi, lip = (getattr(prob, f"{name}_{suffix}") for suffix in ("m", "M", "tilde"))
+        assert lo <= vals.min() and vals.max() <= hi, name
+        # each increment carries up to two roundings of the values
+        slack = 2.0 * np.finfo(float).eps * np.max(np.abs(vals)) / np.min(np.diff(f))
+        assert np.max(np.abs(np.diff(vals)) / np.diff(f)) <= lip + slack, name
+
+
+PARAMETERS = ("Ste", "q_star", "M", "Bi", "r", "T_star", "T_m")
+
+
 @pytest.mark.parametrize("reference", REFERENCE_SETS)
 @pytest.mark.parametrize("bc", ANCHORED_BCS, ids=["dirichlet", "robin", "radiative"])
 @pytest.mark.parametrize("family", ["constant", "linear"])
 def test_linear_family_models_reduce_directly_within_4_ulp_of_the_composition(family, bc, reference):
+    alpha, beta, Pe = (0.0, 0.0, 0.8) if family == "constant" else (0.3, 0.2, 0.7)
     if family == "constant":
-        model = constant_model(*reference, Pe=0.8)
+        model = constant_model(*reference, Pe=Pe)
     else:
-        model = linear_model(*reference, alpha=0.3, beta=0.2, Pe=0.7, T_star=bc.T_star, T_m=bc.T_m)
+        model = linear_model(*reference, alpha=alpha, beta=beta, Pe=Pe, T_star=bc.T_star, T_m=bc.T_m)
     prob = build_dimensionless(model, bc)
-    (L, _), (N, _), (mu, _) = model.family[0]
-    assert (prob.L_star, prob.N_star, prob.mu_star) == (L, N, mu)
     for got, composed in zip(reduced_coefficients(prob, F_DENSE), composed_coefficients(model, bc, F_DENSE)):
         np.testing.assert_array_max_ulp(got, composed, maxulp=4)
-    # everything but the callables is what the composed reduction gives
-    composed_prob = build_dimensionless(composed_copy(model), bc)
+    # under the model's own anchors the reduction is linear_problem's family, bounds and all
+    family_prob = linear_problem(bc.kind, alpha, beta, Pe, **{name: getattr(prob, name) for name in PARAMETERS})
+    for got, direct in zip(reduced_coefficients(prob, F_DENSE), reduced_coefficients(family_prob, F_DENSE)):
+        assert got.tobytes() == direct.tobytes()
     for field in fields(DimensionlessProblem):
         if not callable(getattr(prob, field.name)):
-            assert repr(getattr(prob, field.name)) == repr(getattr(composed_prob, field.name)), field.name
+            assert repr(getattr(prob, field.name)) == repr(getattr(family_prob, field.name)), field.name
+
+
+OTHER_MAPS = [
+    # theta's anchors differ from the condition's, so theta(T(f)) is not f
+    (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=5.0, T_m=0.5),
+     Dirichlet(T_star=2.0, T_m=1.0)),
+    (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=0.5),
+     Robin(h=0.7, T_star=2.0, T_m=1.0)),
+    (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=3.0, T_m=1.0),
+     Dirichlet(T_star=2.0, T_m=1.0)),
+    # the Neumann map is T_m (1 + f) whatever the anchors
+    (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=1.0), Neumann(q=0.5, T_m=1.0)),
+    (linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=0.4, Pe=0.0, T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)),
+    (linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.4, beta=0.0, Pe=0.5, T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)),
+]
+OTHER_MAP_IDS = ["dirichlet-both-anchors", "robin-T_m", "dirichlet-T_star", "neumann", "neumann-beta", "neumann-alpha"]
+
+
+@pytest.mark.parametrize("model, bc", OTHER_MAPS, ids=OTHER_MAP_IDS)
+def test_other_maps_reduce_within_8_ulp_of_the_composition(model, bc):
+    f = np.linspace(0.0, 1.5, 193)
+    for got, composed in zip(reduced_coefficients(build_dimensionless(model, bc), f), composed_coefficients(model, bc, f)):
+        np.testing.assert_array_max_ulp(got, composed, maxulp=8)
+
+
+@pytest.mark.parametrize("model, bc", OTHER_MAPS, ids=OTHER_MAP_IDS)
+def test_other_maps_state_exact_bounds(model, bc):
+    prob = build_dimensionless(model, bc)
+    f = np.linspace(0.0, 1.0, 100_001)
+    assert_bounds_hold(prob, f)
+    # the bounds are the family's values at the ends of [0, 1], not those of theta's own range
+    for name, fn in (("L", prob.L_star), ("N", prob.N_star), ("mu", prob.mu_star)):
+        ends = fn(np.array([0.0, 1.0]))
+        assert (getattr(prob, f"{name}_m"), getattr(prob, f"{name}_M")) == (ends.min(), ends.max()), name
+        assert getattr(prob, f"{name}_tilde") == pytest.approx(abs(ends[1] - ends[0]), rel=1e-12, abs=1e-15), name
+    assert prob.bounds_certified
+
+
+def test_a_face_hotter_than_the_models_anchor_lowers_L_m_below_one():
+    # theta(T) = T_star - T on the condition's [1, 3], so L* runs from 0.95 to 1.05
+    model = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=0.05, Pe=0.0, T_star=2.0, T_m=1.0)
+    prob = build_dimensionless(model, Dirichlet(T_star=3.0, T_m=1.0))
+    assert prob.L_m == float(prob.L_star(0.0)) == pytest.approx(0.95)
+    assert prob.L_M == pytest.approx(1.05)
+    assert_bounds_hold(prob, np.linspace(0.0, 1.0, 100_001))
+
+
+def test_a_linear_family_that_turns_non_positive_on_the_neumann_range_is_rejected():
+    # theta(T_m (1 + f)) falls to 1 - 1.3/0.7 at f = 1, where 1 + 2 theta < 0
+    model = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=2.0, Pe=0.0, T_star=2.0, T_m=1.3)
+    with pytest.raises(ConfigError, match="L_m"):
+        build_dimensionless(model, Neumann(q=0.5, T_m=1.3))
 
 
 @pytest.mark.parametrize(
-    "model, bc",
-    [
-        # theta's anchors differ from the condition's, so theta(T(f)) is not f
-        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=5.0, T_m=0.5),
-         Dirichlet(T_star=2.0, T_m=1.0)),
-        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=0.5),
-         Robin(h=0.7, T_star=2.0, T_m=1.0)),
-        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=3.0, T_m=1.0),
-         Dirichlet(T_star=2.0, T_m=1.0)),
-        # the Neumann map is T_m (1 + f) whatever the anchors
-        (linear_model(3.0, 2.0, 5.0, 7.0, alpha=0.3, beta=0.2, Pe=0.7, T_star=2.0, T_m=1.0), Neumann(q=0.5, T_m=1.0)),
-        (linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=0.4, Pe=0.0, T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)),
-        (linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.4, beta=0.0, Pe=0.5, T_star=2.0, T_m=1.3), Neumann(q=0.5, T_m=1.3)),
-    ],
-    ids=["dirichlet-both-anchors", "robin-T_m", "dirichlet-T_star", "neumann", "neumann-beta", "neumann-alpha"],
+    "bc",
+    [Dirichlet(T_star=2.0, T_m=1.0), Dirichlet(T_star=3.0, T_m=1.0), Neumann(q=0.5, T_m=1.0)],
+    ids=["dirichlet", "dirichlet-other-anchors", "neumann"],
 )
-def test_other_maps_keep_the_composed_coefficients_bitwise(model, bc):
-    f = np.linspace(0.0, 1.5, 193)
-    for got, composed in zip(reduced_coefficients(build_dimensionless(model, bc), f), composed_coefficients(model, bc, f)):
-        assert got.tobytes() == composed.tobytes()
-
-
-def test_a_linear_family_solve_never_calls_the_dimensional_coefficients():
+def test_a_linear_family_solve_never_calls_the_dimensional_coefficients(bc):
     calls = []
 
     def counting(name, fn):
@@ -158,7 +208,6 @@ def test_a_linear_family_solve_never_calls_the_dimensional_coefficients():
             return fn(T)
         return wrapped
 
-    bc = Dirichlet(T_star=2.0, T_m=1.0)
     model = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.1, beta=0.1, Pe=0.5, T_star=2.0, T_m=1.0)
     # wrap the model's own callables in place, so it keeps the family linear_model recorded
     for name in ("k", "rho_c", "mu"):
@@ -178,26 +227,14 @@ def test_a_copy_with_other_coefficients_records_no_family_and_is_composed():
     assert model.family is not None and copy.family is None
     with pytest.raises(TypeError):
         ThermalModel(model.k, model.rho_c, model.mu, 3.0, 2.0, 5.0, 7.0, family=model.family)
-    for got, composed in zip(reduced_coefficients(build_dimensionless(copy, bc), F_DENSE),
-                             composed_coefficients(copy, bc, F_DENSE)):
+    prob = build_dimensionless(copy, bc)
+    for got, composed in zip(reduced_coefficients(prob, F_DENSE), composed_coefficients(copy, bc, F_DENSE)):
         assert got.tobytes() == composed.tobytes()
-    assert build_dimensionless(copy, bc).L_star(1.0) == pytest.approx(2.5)
-
-
-@pytest.mark.parametrize("alpha, beta, Pe", [(0.3, 0.2, 0.7), (0.0, 1.7, 0.0), (2.9, 0.0, 13.1)])
-def test_linear_model_bounds_are_the_dimensionless_bounds_times_reference_constants(alpha, beta, Pe):
-    k0, rho0, c0, T_star, T_m = 1.7, 1.3, 2.9, 5.3, 2.1
-    bounds = linear_model(k0, rho0, c0, 3.0, alpha=alpha, beta=beta, Pe=Pe, T_star=T_star, T_m=T_m).bounds
-    prob = linear_problem(BCKind.DIRICHLET, alpha, beta, Pe, Ste=1.0)
-    gamma0, span = rho0 * c0, T_star - T_m
-    L, N = (prob.L_m, prob.L_M, prob.L_tilde), (prob.N_m, prob.N_M, prob.N_tilde)
-    for ref, (lo, hi, lip), got in (
-        (k0, L, (bounds.k_m, bounds.k_M, bounds.k_tilde)),
-        (gamma0, N, (bounds.gamma_m, bounds.gamma_M, bounds.gamma_tilde)),
-        # mu = rho0*c0*sqrt(alpha0)*Pe N, so its reference constant multiplies N's bounds
-        (gamma0 * math.sqrt(k0 / gamma0) * Pe, N, (bounds.nu_m, bounds.nu_M, bounds.nu_tilde)),
-    ):
-        assert got == (ref * lo, ref * hi, ref * lip / span)
+    assert prob.L_star(1.0) == pytest.approx(2.5)
+    # the copy's bounds are sampled from its own k, not kept from the family it was copied from
+    assert prob.L_M == pytest.approx(2.5)
+    assert_bounds_hold(prob, np.linspace(0.0, 1.0, 100_001))
+    assert certify(prob).basis == "sampled"
 
 
 def test_robin_zero_h_gives_zero_biot():
