@@ -105,12 +105,8 @@ def neumann_constant(
         raise BracketError(f"no front coefficient below {lambda_max} for load={load}, Pe={Pe}")
     roots = tuple(bisect_root(resid, a, b, xtol=1e-14) for a, b in intervals)
     lam = roots[0]
-    try:
-        amp = q_star * math.sqrt(math.pi) * math.exp(Pe**2) / 2.0
-    except OverflowError:
-        raise ConfigError(f"the closed-form profile amplitude exp(Pe^2) overflows at Pe={Pe!r}") from None
 
     def profile(xi):
-        return amp * _erf_gap(Pe - np.asarray(xi, dtype=float), Pe - lam, 0.0)
+        return q_star * math.sqrt(math.pi) / 2.0 * _erf_gap(Pe - np.asarray(xi, dtype=float), Pe - lam, Pe)
 
     return ClosedFormSolution(lam, profile, BCKind.NEUMANN, unique=Pe <= math.sqrt(2.0), roots=roots)

@@ -9,7 +9,8 @@ For a profile f on [0, lambda] the four kernels are
 
 All integrals use a cumulative composite trapezoid rule on the shared uniform
 grid (a running sum of neighbour pairs times half the step), so every node
-value comes out of one pass and refinement behaves at second order.
+value comes out of one pass and refinement behaves at second order.  E's
+exponent is one sum of (mu* - sigma N*)/L*; U's and I's are summed when read.
 """
 
 from __future__ import annotations
@@ -102,16 +103,29 @@ class ProfileGrid:
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Node values of E and Phi for one profile, and the exponents of U and I."""
+    """Node values of E and Phi for one profile, and of the L*, N* and mu* they were built from.
 
-    log_U: np.ndarray
-    log_I: np.ndarray
+    ``log_U`` and ``log_I``, the exponents of U and I, are summed on each read.
+    """
+
     E: np.ndarray
     Phi: np.ndarray
+    profile: ProfileGrid
+    L: np.ndarray
+    N: np.ndarray
+    mu: np.ndarray
 
     @property
     def phi_lam(self) -> float:
         return float(self.Phi[-1])
+
+    @property
+    def log_U(self) -> np.ndarray:
+        return _cumulative_trapezoid(self.mu / self.L, 2.0 * self.profile.step)
+
+    @property
+    def log_I(self) -> np.ndarray:
+        return _cumulative_trapezoid(self.profile.xi * self.N / self.L, 2.0 * self.profile.step)
 
 
 def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
@@ -129,38 +143,40 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
     Raises KernelOverflowError when an exponent passes the overflow guard,
     naming the first offending node.
     """
-    xi = profile.xi
-    f = profile.f
+    xi, f = profile.xi, profile.f
     L = eval_coefficient(prob.L_star, f)
     N = eval_coefficient(prob.N_star, f)
     mu = eval_coefficient(prob.mu_star, f)
-    for name, arr in (("L*", L), ("N*", N), ("mu*", mu)):
-        # a finite sum rules out inf and NaN without a mask; an overflowing
-        # sum of finite values falls through to the exact test
-        if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ConfigError(f"{name} returned a non-finite value at node {bad} (xi={float(xi[bad])!r})")
-    if L.min() <= 0.0:
+    L_min, L_max, N_abs, mu_abs = map(float, (L.min(), L.max(), np.abs(N).max(), np.abs(mu).max()))
+    # an inf or NaN makes an extreme, and so their sum, non-finite; an
+    # overflowing sum of finite extremes falls through to the exact test
+    if not math.isfinite(L_min + L_max + N_abs + mu_abs):
+        for name, arr in (("L*", L), ("N*", N), ("mu*", mu)):
+            if not np.all(np.isfinite(arr)):
+                bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+                raise ConfigError(f"{name} returned a non-finite value at node {bad} (xi={float(xi[bad])!r})")
+    if L_min <= 0.0:
         bad = int(np.flatnonzero(L <= 0.0)[0])
         raise ConfigError(f"L* must be positive, got {L[bad]!r} at node {bad}")
 
-    # the exponents are twice the integrals: scaling the step by 2 is exact
-    step = profile.step
-    exp_u = _cumulative_trapezoid(mu / L, 2.0 * step)
-    exp_i = _cumulative_trapezoid(xi * N / L, 2.0 * step)
-    worst = max(float(np.max(exp_u)), float(np.max(exp_i)))
-    if worst > EXP_GUARD:
-        which = exp_u if float(np.max(exp_u)) >= float(np.max(exp_i)) else exp_i
-        bad = int(np.argmax(which))
-        raise KernelOverflowError(
-            f"kernel exponent {worst:.3g} exceeds the overflow guard {EXP_GUARD:g} at node {bad}"
-            f" (xi={float(xi[bad])!r}); the profile or coefficients are out of range",
-            node=bad,
-            exponent=worst,
-        )
-    E = np.exp(exp_u - exp_i)
-    Phi = _cumulative_trapezoid(E / L, step)
-    return KernelEval(log_U=exp_u, log_I=exp_i, E=E, Phi=Phi)
+    # every node's exponent is at most 2 lam max|integrand|; the exact sums run
+    # only when that bound is within a factor 2 of the guard (or not finite)
+    lam, step = profile.lam, profile.step
+    if not 2.0 * lam * max(mu_abs, lam * N_abs) / L_min <= 0.5 * EXP_GUARD:
+        exp_u = _cumulative_trapezoid(mu / L, 2.0 * step)
+        exp_i = _cumulative_trapezoid(xi * N / L, 2.0 * step)
+        max_u, max_i = float(np.max(exp_u)), float(np.max(exp_i))
+        worst = max(max_u, max_i)
+        if worst > EXP_GUARD:
+            bad = int(np.argmax(exp_u if max_u >= max_i else exp_i))
+            raise KernelOverflowError(
+                f"kernel exponent {worst:.3g} exceeds the overflow guard {EXP_GUARD:g} at node {bad}"
+                f" (xi={float(xi[bad])!r}); the profile or coefficients are out of range",
+                node=bad,
+                exponent=worst,
+            )
+    E = np.exp(_cumulative_trapezoid((mu - xi * N) / L, 2.0 * step))
+    return KernelEval(E, _cumulative_trapezoid(E / L, step), profile, L, N, mu)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,8 @@ class Bracket:
     possible; the solver widens its search a hair around such brackets.
     When the lambda2 search fails the fallback interval [1e-6, lambda_max]
     is used instead, from lambda_max * 1e-9 when lambda_max < 1e-6.
+    ``extra_sign_changes`` counts the scan's crossings of V2(lambda) = lambda
+    beyond lambda2; they are not roots of V(lambda) = lambda and do not count them.
     """
 
     lambda1: float

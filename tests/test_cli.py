@@ -2,6 +2,7 @@ import copy
 import csv
 import itertools
 import json
+import math
 import threading
 import warnings
 
@@ -123,16 +124,6 @@ UNREADABLE_CONFIGS = [
         "certify",
         {"bc": dict(RADIATIVE, T_star=1.5), "reference": {"k0": 5e-324, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
         "r divisor k0*(T_star-T_m) underflows",
-    ),
-    (
-        "oracle-amplitude-overflow",
-        "oracle",
-        {
-            "bc": {"kind": "neumann", "q": 0.5},
-            "coefficients": {"family": "constant", "Pe": 30.0},
-            "reference": {"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1e6, "T_m": 1.0},
-        },
-        "exp(Pe^2) overflows at Pe=30.0",
     ),
 ]
 
@@ -269,6 +260,23 @@ def test_oracle_commands(tmp_path):
     # no closed form for Robin
     rcfg = write_config(tmp_path / "rcfg.json", bc={"kind": "robin", "h": 1.0, "T_star": 2.0})
     assert main(["oracle", "--config", str(rcfg), "--out", str(out), "--quiet"]) == 3
+
+
+def test_neumann_oracle_past_exp_pe_squared_overflow(tmp_path):
+    # load 5e-7 at Pe = 30: exp(Pe^2) overflows, the profile does not
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        bc={"kind": "neumann", "q": 0.5},
+        coefficients={"family": "constant", "Pe": 30.0},
+        reference={"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1e6, "T_m": 1.0},
+    )
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    rows = list(csv.reader((out / "oracle_profile.csv").open()))
+    f = [float(v) for _, v in rows[1:]]
+    assert all(map(math.isfinite, f))
+    assert f[0] == pytest.approx(5.0002e-7, rel=1e-4)
+    assert f[-1] == 0.0
 
 
 def test_sweep_runs_all_tuples(tmp_path):

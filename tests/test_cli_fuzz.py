@@ -77,7 +77,7 @@ def configs(draw):
 @given(command=st.sampled_from(COMMANDS), cfg=configs())
 # the divisor k0*(T_star - T_m) of r underflows to 0
 @example(command="certify", cfg=_with("radiative", "constant", reference={"k0": 5e-324}))
-# the closed-form Neumann amplitude exp(Pe^2) overflows
+# the closed-form Neumann profile at Pe = 30, where exp(Pe^2) overflows
 @example(command="oracle", cfg=_with("neumann", "constant", coefficients={"Pe": 30.0}, reference={"ell": 1e6}))
 def test_random_configs_end_in_an_exit_code(command, cfg):
     with tempfile.TemporaryDirectory() as tmp:

@@ -75,6 +75,21 @@ def test_neumann_profile_front_endpoint():
     assert float(sol.profile(0.0)) > 0.0
 
 
+def test_neumann_profile_at_large_peclet_matches_high_precision():
+    # 50-digit mpmath value of q* sqrt(pi)/2 (erf(b) - erf(a)) exp(64) at the profile's own
+    # arguments b = 8 - lam/2 and a = 8 - lam, for load 0.01 (q* = 0.02) at Pe = 8
+    sol = neumann_constant(0.01, 8.0)
+    assert sol.lam == pytest.approx(0.01214258974855222, rel=1e-15, abs=0.0)
+    reference = 0.00014051601975981156770984893042081375655377299014492
+    assert float(sol.profile(sol.lam / 2.0)) == pytest.approx(reference, rel=2e-14, abs=0.0)
+
+
+def test_neumann_profile_past_exp_pe_squared_overflow():
+    sol = neumann_constant(5e-7, 30.0)
+    assert float(sol.profile(0.0)) == pytest.approx(5.0002e-13, rel=1e-4, abs=0.0)
+    assert float(sol.profile(sol.lam)) == 0.0
+
+
 def test_no_root_below_search_cap_is_an_error():
     from meltfront import BracketError
 

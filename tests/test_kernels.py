@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,26 @@ from scipy.special import erf
 from meltfront import (
     BCKind,
     ConfigError,
+    Dirichlet,
     KernelOverflowError,
+    Neumann,
     ProfileGrid,
+    Radiative,
+    Robin,
+    build_dimensionless,
+    constant_model,
     constant_problem,
     eval_kernels,
     kernel_bounds,
     lipschitz_constants,
+    linear_model,
     linear_problem,
+    solve_lambda,
+    table_model,
 )
+from meltfront import fixed_point, kernels
 from meltfront.coefficients import eval_coefficient
+from meltfront.kernels import EXP_GUARD
 
 from conftest import cumtrapz_ref, random_profile
 
@@ -180,3 +192,181 @@ def test_overflow_guard_reports_node():
     assert exc.value.exponent > 700.0
     # the node's position prints as a plain float
     assert f"(xi={float(ProfileGrid.linear(2.0, 64).xi[exc.value.node])!r})" in str(exc.value)
+
+
+def _three_sum_reference(profile, prob):
+    """log U, log I, E and Phi with U's and I's exponents summed apart and subtracted, on the independent cumsum."""
+    xi = profile.xi
+    L, N, mu = (eval_coefficient(fn, profile.f) for fn in (prob.L_star, prob.N_star, prob.mu_star))
+    log_U = 2.0 * cumtrapz_ref(mu / L, xi)
+    log_I = 2.0 * cumtrapz_ref(xi * N / L, xi)
+    E = np.exp(log_U - log_I)
+    return log_U, log_I, E, cumtrapz_ref(E / L, xi)
+
+
+T_TABLE = np.linspace(1.0, 4.0, 13)
+MODELS = {
+    "constant": constant_model(2.0, 1.0, 3.0, 1.0, Pe=0.4),
+    "linear": linear_model(2.0, 1.0, 3.0, 1.0, alpha=0.2, beta=0.3, Pe=0.4, T_star=4.0, T_m=1.0),
+    "table": table_model(
+        T_TABLE, 2.0 + 0.3 * np.sin(T_TABLE), 3.0 + 0.2 * np.cos(T_TABLE), 0.1 + 0.05 * T_TABLE, 2.0, 1.0, 3.0, 1.0
+    ),
+}
+CONDITIONS = {
+    "dirichlet": Dirichlet(T_star=4.0, T_m=1.0),
+    "neumann": Neumann(q=0.5, T_m=1.0),
+    "robin": Robin(h=0.7, T_star=4.0, T_m=1.0),
+    "radiative": Radiative(h=0.1, sigma=0.05, epsilon=0.5, T_star=4.0, T_m=1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("condition", sorted(CONDITIONS))
+def test_one_exponent_sum_matches_three_sum_reference(rng, condition, family):
+    prob = build_dimensionless(MODELS[family], CONDITIONS[condition])
+    # Neumann profiles may exceed 1
+    hi = 1.8 if condition == "neumann" else 1.0
+    for _ in range(5):
+        prof = random_profile(rng, rng.uniform(0.2, 2.0), 512, hi=hi)
+        ke = eval_kernels(prof, prob)
+        log_U, log_I, E, Phi = _three_sum_reference(prof, prob)
+        assert np.max(np.abs(ke.E - E) / E) <= 1e-13
+        assert np.max(np.abs(ke.Phi[1:] - Phi[1:]) / Phi[1:]) <= 1e-13
+        assert ke.Phi[0] == 0.0
+        # the exponents are read on demand, from the three-sum formula
+        assert np.max(np.abs(ke.log_U - log_U)) <= 1e-13 * max(1.0, np.max(np.abs(log_U)))
+        assert np.max(np.abs(ke.log_I - log_I)) <= 1e-13 * max(1.0, np.max(np.abs(log_I)))
+
+
+def _three_sum_error(profile, prob):
+    """The error the three-sum kernel raised for this input, in its check order, or None."""
+    xi, step = profile.xi, profile.step
+    L, N, mu = (eval_coefficient(fn, profile.f) for fn in (prob.L_star, prob.N_star, prob.mu_star))
+    for name, arr in (("L*", L), ("N*", N), ("mu*", mu)):
+        if not np.all(np.isfinite(arr)):
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            return ConfigError(f"{name} returned a non-finite value at node {bad} (xi={float(xi[bad])!r})")
+    if L.min() <= 0.0:
+        bad = int(np.flatnonzero(L <= 0.0)[0])
+        return ConfigError(f"L* must be positive, got {L[bad]!r} at node {bad}")
+    exp_u = kernels._cumulative_trapezoid(mu / L, 2.0 * step)
+    exp_i = kernels._cumulative_trapezoid(xi * N / L, 2.0 * step)
+    max_u, max_i = float(np.max(exp_u)), float(np.max(exp_i))
+    worst = max(max_u, max_i)
+    if worst > EXP_GUARD:
+        bad = int(np.argmax(exp_u if max_u >= max_i else exp_i))
+        return KernelOverflowError(
+            f"kernel exponent {worst:.3g} exceeds the overflow guard {EXP_GUARD:g} at node {bad}"
+            f" (xi={float(xi[bad])!r}); the profile or coefficients are out of range",
+            node=bad,
+            exponent=worst,
+        )
+    return None
+
+
+def _assert_same_outcome(profile, prob):
+    expected = _three_sum_error(profile, prob)
+    if expected is None:
+        # E's relative error is its exponent's absolute error, up to 1e-13 of the largest exponent
+        E, rtol = _three_sum_reference(profile, prob)[2], 1e-13 * max(1.0, _largest_exponent(profile, prob))
+        np.testing.assert_allclose(eval_kernels(profile, prob).E, E, rtol=rtol)
+        return None
+    with pytest.raises(type(expected)) as exc:
+        eval_kernels(profile, prob)
+    assert str(exc.value) == str(expected)
+    if isinstance(expected, KernelOverflowError):
+        assert (exc.value.node, exc.value.exponent) == (expected.node, expected.exponent)
+    return expected
+
+
+def _largest_exponent(profile, prob):
+    L, N, mu = (eval_coefficient(fn, profile.f) for fn in (prob.L_star, prob.N_star, prob.mu_star))
+    exp_u = kernels._cumulative_trapezoid(mu / L, 2.0 * profile.step)
+    exp_i = kernels._cumulative_trapezoid(profile.xi * N / L, 2.0 * profile.step)
+    return max(float(np.max(exp_u)), float(np.max(exp_i)))
+
+
+# largest exact exponent either side of the guard
+TARGETS = [(699.9, True), (700.1, False)]
+
+
+@pytest.mark.parametrize("target, passes", TARGETS)
+def test_overflow_guard_decides_as_three_sum_kernel_on_U(rng, target, passes):
+    # mu* = Pe N* scales U's exponent linearly in Pe; I's stays far below it
+    base = linear_problem(BCKind.DIRICHLET, alpha=0.3, beta=0.2, Pe=1.0, Ste=1.0)
+    prof = random_profile(rng, 1.0, 64)
+    Pe = target / _largest_exponent(prof, base)
+    prob = linear_problem(BCKind.DIRICHLET, alpha=0.3, beta=0.2, Pe=Pe, Ste=1.0)
+    assert _largest_exponent(prof, prob) == pytest.approx(target, rel=1e-13)
+    assert (_assert_same_outcome(prof, prob) is None) == passes
+
+
+@pytest.mark.parametrize("target, passes", TARGETS)
+def test_overflow_guard_decides_as_three_sum_kernel_on_I(target, passes):
+    # with no convection only I's exponent xi^2 grows, largest at the last node
+    prob = constant_problem(BCKind.DIRICHLET, Pe=0.0, Ste=1.0, T_star=2.0, T_m=1.0)
+    prof = ProfileGrid.linear(math.sqrt(target), 64)
+    assert _largest_exponent(prof, prob) == pytest.approx(target, rel=1e-13)
+    error = _assert_same_outcome(prof, prob)
+    assert (error is None) == passes
+    assert error is None or error.node == 64
+
+
+@pytest.mark.parametrize("step, sums", [(-1, 2), (0, 2), (1, 4)])
+def test_exact_exponent_sums_run_from_half_the_guard(monkeypatch, step, sums):
+    # with constant coefficients the bound read from the extremes is the exact
+    # largest exponent 2 Pe lam: at or below EXP_GUARD / 2 only E's exponent and Phi are summed
+    Pe = 175.0 + step * 175.0 * np.finfo(float).eps
+    prob = constant_problem(BCKind.DIRICHLET, Pe=Pe, Ste=1.0, T_star=2.0, T_m=1.0)
+    prof = ProfileGrid.linear(1.0, 64)
+    assert _largest_exponent(prof, prob) == pytest.approx(0.5 * EXP_GUARD, rel=1e-13)
+    assert _assert_same_outcome(prof, prob) is None
+    trapezoid, calls = kernels._cumulative_trapezoid, []
+    monkeypatch.setattr(kernels, "_cumulative_trapezoid", lambda *args: calls.append(1) or trapezoid(*args))
+    eval_kernels(prof, prob)
+    assert len(calls) == sums
+
+
+@pytest.mark.parametrize("name", ["L_star", "N_star", "mu_star"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_raises_named_config_error(linear_dirichlet, name, bad):
+    base = getattr(linear_dirichlet, name)
+
+    def poisoned(f):
+        out = np.array(base(f), dtype=float)
+        out[5] = bad
+        return out
+
+    prob = replace(linear_dirichlet, **{name: poisoned})
+    expected = _assert_same_outcome(ProfileGrid.linear(0.5, 16), prob)
+    assert isinstance(expected, ConfigError) and "non-finite value at node 5" in str(expected)
+
+
+def test_coefficients_near_the_float_maximum_are_no_config_error(linear_dirichlet):
+    # finite L* and mu* near the float maximum: the bound read from them is inf, so the exact sums decide
+    prob = replace(linear_dirichlet, L_star=lambda f: np.full_like(f, 1e308), mu_star=lambda f: np.full_like(f, 1e308))
+    assert _assert_same_outcome(ProfileGrid.linear(0.5, 16), prob) is None
+
+
+def test_non_positive_L_raises_as_three_sum_kernel(linear_dirichlet):
+    prob = replace(linear_dirichlet, L_star=lambda f: 0.5 - np.asarray(f, dtype=float))
+    expected = _assert_same_outcome(ProfileGrid.linear(0.5, 16), prob)
+    assert isinstance(expected, ConfigError) and "L* must be positive" in str(expected)
+
+
+def test_solve_sums_only_E_exponent_and_Phi(linear_dirichlet, monkeypatch):
+    sums, evals = [], []
+    trapezoid, original = kernels._cumulative_trapezoid, fixed_point.eval_kernels
+
+    def counting_sum(*args):
+        sums.append(1)
+        return trapezoid(*args)
+
+    def counting_eval(*args):
+        evals.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_cumulative_trapezoid", counting_sum)
+    monkeypatch.setattr(fixed_point, "eval_kernels", counting_eval)
+    solve_lambda(linear_dirichlet)
+    assert evals and len(sums) == 2 * len(evals)
