@@ -12,7 +12,6 @@ from .closed_form import ClosedFormSolution, dirichlet_constant, neumann_constan
 from .coefficients import (
     BCKind,
     BoundaryCondition,
-    CoefficientBounds,
     DimensionlessProblem,
     Dirichlet,
     Neumann,
@@ -22,7 +21,6 @@ from .coefficients import (
     build_dimensionless,
     constant_model,
     constant_problem,
-    estimate_bounds,
     linear_model,
     linear_problem,
     load_coefficient_table,
@@ -79,7 +77,6 @@ __all__ = [
     "__version__",
     "BCKind",
     "BoundaryCondition",
-    "CoefficientBounds",
     "DimensionlessProblem",
     "Dirichlet",
     "Neumann",
@@ -89,7 +86,6 @@ __all__ = [
     "build_dimensionless",
     "constant_model",
     "constant_problem",
-    "estimate_bounds",
     "linear_model",
     "linear_problem",
     "load_coefficient_table",

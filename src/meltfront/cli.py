@@ -78,10 +78,11 @@ def _check_keys(block: dict, allowed, where: str) -> None:
 def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
     """The value of the last part of the dotted ``name`` in ``block``, as ``kind``.
 
-    float and int values are converted and must be finite, a list must hold
-    finite numbers (returned as floats), and a dict or str must already be
-    one.  A missing key returns ``default`` when one is given.  Anything else
-    raises ConfigError naming ``name``.
+    float and int values are converted and must be finite, an int read from
+    a float must be integral, a list must hold finite numbers (returned as
+    floats), and a dict or str must already be one.  A boolean is not a
+    number.  A missing key returns ``default`` when one is given.  Anything
+    else raises ConfigError naming ``name``.
     """
     key = name.rpartition(".")[2]
     if key not in block:
@@ -94,13 +95,14 @@ def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
             if isinstance(value, kind):
                 return value
         elif kind is list:
-            if isinstance(value, list):
+            if isinstance(value, list) and not any(isinstance(v, bool) for v in value):
                 numbers = [float(v) for v in value]
                 if all(map(math.isfinite, numbers)):
                     return numbers
-        else:
+        elif not isinstance(value, bool):
             number = kind(value)
-            if math.isfinite(number):
+            # int() would truncate 64.7 to 64
+            if math.isfinite(number) and (not isinstance(value, float) or number == value):
                 return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -232,8 +234,11 @@ def _cmd_solve(args) -> int:
     outputs = _read(cfg, "outputs", dict, {})
     times = _read(outputs, "outputs.times", list, [1.0])
     nx = _read(outputs, "outputs.nx", int, 101)
-    if not all(t > 0.0 for t in times):
-        raise ConfigError(f"outputs.times must all be positive, got {times!r}")
+    # s(t) and the similarity variable need 0 < alpha0*t < inf
+    alpha0 = problem.model.alpha0
+    if not all(0.0 < alpha0 * t < math.inf for t in times):
+        raise ConfigError(f"outputs.times must all be positive with finite, non-zero alpha0*t "
+                          f"(alpha0 = {alpha0!r}), got {times!r}")
     if nx < 0:
         raise ConfigError(f"outputs.nx must be non-negative, got {nx}")
     if nx > MAX_NODES:

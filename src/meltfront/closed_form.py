@@ -41,11 +41,17 @@ class ClosedFormSolution:
     roots: tuple[float, ...]
 
 
-def _erf_gap(b, a, s):
-    """(erf(b) - erf(a)) exp(s^2) for b >= a; where erfc(a) < erf(b) it is taken from erfcx, so it does not cancel."""
-    tails = erfcx(a) * np.exp((s - a) * (s + a)) - erfcx(b) * np.exp((s - b) * (s + b))
-    with np.errstate(over="ignore", invalid="ignore"):  # exp(s^2) overflows only where the tails are taken
-        return np.where(erfc(a) < erf(b), tails, (erf(b) - erf(a)) * np.exp(s**2))
+def _erf_gap(Pe, u, v, w):
+    """(erf(Pe - u) - erf(Pe - v)) exp((Pe - w)^2) for offsets u <= v.
+
+    Where erfc(Pe - v) < erf(Pe - u) it is taken from erfcx tails, so it does
+    not cancel, and each tail's exponent (Pe - w)^2 - (Pe - x)^2 is formed
+    as (x - w)(2 Pe - x - w) from the offsets, never from a rounded Pe - x.
+    """
+    b, a = Pe - u, Pe - v
+    tails = erfcx(a) * np.exp((v - w) * (2.0 * Pe - v - w)) - erfcx(b) * np.exp((u - w) * (2.0 * Pe - u - w))
+    with np.errstate(over="ignore", invalid="ignore"):  # exp((Pe - w)^2) overflows only where the tails are taken
+        return np.where(erfc(a) < erf(b), tails, (erf(b) - erf(a)) * np.exp((Pe - w) ** 2))
 
 
 def dirichlet_constant(Ste: float, Pe: float = 0.0, lambda_max: float = 10.0) -> ClosedFormSolution:
@@ -60,16 +66,16 @@ def dirichlet_constant(Ste: float, Pe: float = 0.0, lambda_max: float = 10.0) ->
         raise ConfigError(f"Pe must be non-negative, got {Pe}")
 
     def resid(lam):
-        return math.sqrt(math.pi) * lam * _erf_gap(Pe, Pe - lam, Pe - lam) - Ste
+        return math.sqrt(math.pi) * lam * _erf_gap(Pe, 0.0, lam, lam) - Ste
 
     intervals = sign_change_intervals(resid, lambda_max * 1e-12, lambda_max, 4096)
     if not intervals:
         raise BracketError(f"no front coefficient below {lambda_max} for Ste={Ste}, Pe={Pe}")
     lam = bisect_root(resid, *intervals[0], xtol=1e-14)
-    denom = _erf_gap(Pe, Pe - lam, Pe - lam)
+    denom = _erf_gap(Pe, 0.0, lam, lam)
 
     def profile(xi):
-        return _erf_gap(Pe, Pe - np.asarray(xi, dtype=float), Pe - lam) / denom
+        return _erf_gap(Pe, 0.0, np.asarray(xi, dtype=float), lam) / denom
 
     return ClosedFormSolution(lam, profile, BCKind.DIRICHLET, unique=True, roots=(lam,))
 
@@ -107,6 +113,6 @@ def neumann_constant(
     lam = roots[0]
 
     def profile(xi):
-        return q_star * math.sqrt(math.pi) / 2.0 * _erf_gap(Pe - np.asarray(xi, dtype=float), Pe - lam, Pe)
+        return q_star * math.sqrt(math.pi) / 2.0 * _erf_gap(Pe, np.asarray(xi, dtype=float), lam, 0.0)
 
     return ClosedFormSolution(lam, profile, BCKind.NEUMANN, unique=Pe <= math.sqrt(2.0), roots=roots)

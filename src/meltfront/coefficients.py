@@ -33,7 +33,6 @@ from .errors import ConfigError
 
 __all__ = [
     "BCKind",
-    "CoefficientBounds",
     "ThermalModel",
     "Dirichlet",
     "Neumann",
@@ -45,8 +44,8 @@ __all__ = [
     "constant_model",
     "linear_model",
     "table_model",
+    "table_model_from_csv",
     "load_coefficient_table",
-    "estimate_bounds",
     "build_dimensionless",
     "constant_problem",
     "linear_problem",
@@ -62,7 +61,7 @@ class BCKind(str, Enum):
     RADIATIVE = "radiative"
 
 
-# uniform samples per coefficient behind the bounds of a model that brings none
+# uniform samples of f in [0, 1] behind the bounds of a model without a family
 _BOUND_SAMPLES = 257
 
 
@@ -84,40 +83,6 @@ def eval_coefficient(fn: Callable, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoefficientBounds:
-    """Bounds and Lipschitz constants of k, rho*c and mu over the working temperature range.
-
-    ``certified`` is True for bounds that hold analytically for the family;
-    sampled estimates (see :func:`estimate_bounds`) set it to False, which
-    downgrades any existence certificate built on top of them.
-    """
-
-    k_m: float
-    k_M: float
-    k_tilde: float
-    gamma_m: float
-    gamma_M: float
-    gamma_tilde: float
-    nu_m: float
-    nu_M: float
-    nu_tilde: float
-    certified: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.k_m <= self.k_M):
-            raise ConfigError(f"conductivity bounds must satisfy 0 < k_m <= k_M, got [{self.k_m}, {self.k_M}]")
-        if not (0.0 < self.gamma_m <= self.gamma_M):
-            raise ConfigError(
-                f"heat-capacity bounds must satisfy 0 < gamma_m <= gamma_M, got [{self.gamma_m}, {self.gamma_M}]"
-            )
-        if not (0.0 <= self.nu_m <= self.nu_M):
-            raise ConfigError(f"convection bounds must satisfy 0 <= nu_m <= nu_M, got [{self.nu_m}, {self.nu_M}]")
-        for name in ("k_tilde", "gamma_tilde", "nu_tilde"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
 class ThermalModel:
     """Dimensional material description.
 
@@ -131,13 +96,11 @@ class ThermalModel:
         Reference conductivity, density and specific heat; alpha0 = k0/(rho0*c0).
     ell : float
         Latent heat per unit mass.
-    bounds : CoefficientBounds, optional
-        Bounds over the working temperature range.  When absent they are
-        estimated by sampling at build time.
     family : tuple or None
         Not a constructor argument: the ``(alpha, beta, Pe, T_star, T_m)``
         that :func:`linear_model` built the model from.  Every other model,
-        including a ``dataclasses.replace`` copy, has None.
+        including a ``dataclasses.replace`` copy, has None and gets bounds
+        sampled on f in [0, 1] (T in [T_m, 2 T_m] under a Neumann condition).
     """
 
     k: Callable
@@ -147,7 +110,6 @@ class ThermalModel:
     rho0: float
     c0: float
     ell: float
-    bounds: CoefficientBounds | None = None
     family: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -283,9 +245,9 @@ def table_model(
     """Material from tabulated coefficients, interpolated piecewise-linearly.
 
     np.interp clamps outside the table range, so evaluations beyond the last
-    node stay bounded.  Bounds are left unset; they are estimated by sampling
-    when the dimensionless problem is built, which marks any certificate as
-    heuristic.
+    node stay bounded.  :func:`build_dimensionless` samples its bounds on f
+    in [0, 1] (T in [T_m, 2 T_m] under a Neumann condition), which marks any
+    certificate as heuristic.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 1 or T.size < 2 or np.any(np.diff(T) <= 0.0):
@@ -312,36 +274,6 @@ def table_model(
 def table_model_from_csv(path: str | Path, k0: float, rho0: float, c0: float, ell: float) -> ThermalModel:
     t = load_coefficient_table(path)
     return table_model(t["T"], t["k"], t["rho_c"], t["mu"], k0, rho0, c0, ell)
-
-
-def estimate_bounds(model: ThermalModel, T_range: tuple[float, float]) -> CoefficientBounds:
-    """Sampled bounds: min/max over _BOUND_SAMPLES uniform samples plus a max-slope Lipschitz estimate.
-
-    The result is flagged as sampled (``certified=False``), not analytically
-    certified.
-    """
-    lo, hi = float(T_range[0]), float(T_range[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        raise ConfigError(f"temperature range must be a non-degenerate interval, got ({lo}, {hi})")
-    Ts = np.linspace(lo, hi, _BOUND_SAMPLES)
-    dT = Ts[1] - Ts[0]
-
-    def scan(fn, name, allow_zero):
-        vals = eval_coefficient(fn, Ts)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError(f"coefficient {name} returned a non-finite value on [{lo}, {hi}]")
-        if allow_zero:
-            if np.any(vals < 0.0):
-                raise ConfigError(f"coefficient {name} returned a negative value on [{lo}, {hi}]")
-        elif np.any(vals <= 0.0):
-            raise ConfigError(f"coefficient {name} returned a non-positive value on [{lo}, {hi}]")
-        slope = float(np.max(np.abs(np.diff(vals)))) / dT
-        return float(np.min(vals)), float(np.max(vals)), slope
-
-    k_m, k_M, k_t = scan(model.k, "k", allow_zero=False)
-    g_m, g_M, g_t = scan(model.rho_c, "rho_c", allow_zero=False)
-    n_m, n_M, n_t = scan(model.mu, "mu", allow_zero=True)
-    return CoefficientBounds(k_m, k_M, k_t, g_m, g_M, g_t, n_m, n_M, n_t, certified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +442,35 @@ class DimensionlessProblem:
         return 4.0 * (self.T_star - self.T_m) * abs(self.T_star) ** 3
 
 
+def _sampled_family(bc: BoundaryCondition, L_star: Callable, N_star: Callable, mu_star: Callable):
+    """One ``(function, (min, max, Lipschitz))`` pair for each of L*, N* and mu*, sampled on f in [0, 1].
+
+    The min and max are taken over _BOUND_SAMPLES uniform values of f, and
+    the Lipschitz constant is the steepest slope between neighbouring
+    samples.  L* and N* must be positive and mu* non-negative at every
+    sample; an error names the dimensional coefficient and the temperatures
+    T(0) and T(1) the samples span.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        T0, T1 = (float(T) for T in temperature_of_f(bc, (0.0, 1.0)))
+    if not (math.isfinite(T0) and math.isfinite(T1) and T0 != T1):
+        raise ConfigError(f"temperature range must be a non-degenerate interval, got ({T0}, {T1})")
+    lo, hi = sorted((T0, T1))
+    f = np.linspace(0.0, 1.0, _BOUND_SAMPLES)
+    pairs = []
+    for name, fn in (("k", L_star), ("rho_c", N_star), ("mu", mu_star)):
+        vals = eval_coefficient(fn, f)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"coefficient {name} returned a non-finite value on [{lo}, {hi}]")
+        if name == "mu":
+            if np.any(vals < 0.0):
+                raise ConfigError(f"coefficient mu returned a negative value on [{lo}, {hi}]")
+        elif np.any(vals <= 0.0):
+            raise ConfigError(f"coefficient {name} returned a non-positive value on [{lo}, {hi}]")
+        pairs.append((fn, (float(np.min(vals)), float(np.max(vals)), float(np.max(np.abs(np.diff(vals)))) / f[1])))
+    return pairs
+
+
 def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> DimensionlessProblem:
     """Reduce a dimensional model plus boundary condition to a DimensionlessProblem.
 
@@ -520,12 +481,11 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
     :func:`_linear_family` at (theta0, theta1), with that family's exact
     bounds on f in [0, 1], and its k, rho_c and mu are never called.
 
-    Any other model is composed through the kind-appropriate temperature
-    map: its bounds are rescaled by the reference constants, and the
-    Lipschitz constants absorb the temperature-scale factor (T_star - T_m
-    for Dirichlet/Robin/radiative, |T_m| for Neumann).  When it carries no
-    bounds they are estimated by sampling over the kind-appropriate span,
-    which marks the result as not analytically certified.
+    Any other model is composed through :func:`temperature_of_f` and
+    divided by the reference constants.  Its bounds are sampled from the
+    composed L*, N* and mu* on f in [0, 1], which is T in [T_m, T_star], or
+    [T_m, 2 T_m] under a Neumann condition, whose profiles have no a-priori
+    range; the result is marked as not analytically certified.
     """
     kind = bc.kind
     if kind is BCKind.NEUMANN and not bc.T_m > 0.0:
@@ -540,23 +500,17 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         # T(0) and dT/df of temperature_of_f
         T0, dT = (bc.T_m, bc.T_m) if kind is BCKind.NEUMANN else (bc.T_star, bc.T_m - bc.T_star)
         coefs = _linear_family(alpha, beta, Pe, (T0 - T_star) / (T_m - T_star), dT / (T_m - T_star))
-        (L_star, L_bounds), (N_star, N_bounds), (mu_star, mu_bounds) = coefs
-        bounds_certified = True
     else:
-        # Neumann profiles have no a-priori range: sample one melting-temperature span above T_m > 0
-        T_range = (bc.T_m, 2.0 * bc.T_m) if kind is BCKind.NEUMANN else (bc.T_m, bc.T_star)
-        bounds = model.bounds or estimate_bounds(model, T_range)
-        scale = abs(bc.T_m) if kind is BCKind.NEUMANN else bc.T_star - bc.T_m
-        L_bounds = (bounds.k_m / k0, bounds.k_M / k0, bounds.k_tilde * scale / k0)
-        N_bounds = (bounds.gamma_m / gamma0, bounds.gamma_M / gamma0, bounds.gamma_tilde * scale / gamma0)
-        mu_bounds = (bounds.nu_m / mu0, bounds.nu_M / mu0, bounds.nu_tilde * scale / mu0)
-        bounds_certified = bounds.certified
         # callers evaluate these through eval_coefficient, which also covers
         # scalar-only model callables
         k_fn, g_fn, m_fn = model.k, model.rho_c, model.mu
-        L_star = lambda f: k_fn(temperature_of_f(bc, f)) / k0
-        N_star = lambda f: g_fn(temperature_of_f(bc, f)) / gamma0
-        mu_star = lambda f: m_fn(temperature_of_f(bc, f)) / mu0
+        coefs = _sampled_family(
+            bc,
+            lambda f: k_fn(temperature_of_f(bc, f)) / k0,
+            lambda f: g_fn(temperature_of_f(bc, f)) / gamma0,
+            lambda f: m_fn(temperature_of_f(bc, f)) / mu0,
+        )
+    (L_star, L_bounds), (N_star, N_bounds), (mu_star, mu_bounds) = coefs
 
     params: dict[str, float | None] = dict(Ste=None, q_star=None, M=None, Bi=None, r=None, T_star=None, T_m=None)
     if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):
@@ -567,9 +521,7 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         _check_positive("the q* divisor k0*T_m", k0 * bc.T_m)
         params["q_star"] = 2.0 * bc.q * math.sqrt(alpha0) / (k0 * bc.T_m)
         # the Neumann map puts T_m at f = 0
-        k_at_melt = k0 * float(L_star(0.0)) if model.family else float(eval_coefficient(model.k, bc.T_m))
-        if not k_at_melt > 0.0:
-            raise ConfigError(f"k(T_m) must be positive, got {k_at_melt}")
+        k_at_melt = k0 * float(eval_coefficient(L_star, 0.0))
         _check_positive("the M divisor T_m*c0*k(T_m)", bc.T_m * model.c0 * k_at_melt)
         params["M"] = 2.0 * model.ell * k0 / (bc.T_m * model.c0 * k_at_melt)
         params["T_m"] = bc.T_m
@@ -589,7 +541,7 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         *N_bounds,
         *mu_bounds,
         bc_kind=kind,
-        bounds_certified=bounds_certified,
+        bounds_certified=model.family is not None,
         **params,
     )
 

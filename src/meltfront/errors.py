@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["MeltfrontError", "ConfigError", "KernelOverflowError", "ConvergenceError", "BracketError"]
+
 
 class MeltfrontError(Exception):
     """Base class for all solver errors.

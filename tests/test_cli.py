@@ -90,6 +90,28 @@ UNREADABLE_CONFIGS = [
     ("times-number", "solve", {"outputs": {"times": 1.0}}, "outputs.times must be a list of finite numbers"),
     ("times-negative", "solve", {"outputs": {"times": [1.0, -1.0]}}, "outputs.times must all be positive"),
     ("nx-negative", "solve", {"outputs": {"nx": -1}}, "nx must be non-negative"),
+    # s(t) = 2 lambda sqrt(alpha0 t) would be inf, or 0 with xi = 0/0 along the field
+    (
+        "times-alpha0-t-overflow",
+        "solve",
+        {"outputs": {"times": [1e308]}, "reference": {"k0": 10.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
+        "outputs.times must all be positive with finite, non-zero alpha0*t (alpha0 = 10.0), got [1e+308]",
+    ),
+    (
+        "times-alpha0-t-underflow",
+        "solve",
+        {"outputs": {"times": [1.0, 5e-324]}, "reference": {"k0": 0.1, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
+        "outputs.times must all be positive with finite, non-zero alpha0*t (alpha0 = 0.1), got [1.0, 5e-324]",
+    ),
+    # an int is never truncated from a float, and a JSON boolean is not a number
+    ("n-fraction", "solve", {"numerics": {"n": 64.7}}, "numerics.n must be a finite integer, got 64.7"),
+    ("nx-fraction", "solve", {"outputs": {"nx": 3.9}}, "outputs.nx must be a finite integer, got 3.9"),
+    ("n-text-fraction", "solve", {"numerics": {"n": "64.7"}}, "numerics.n must be a finite integer, got '64.7'"),
+    ("n-true", "solve", {"numerics": {"n": True}}, "numerics.n must be a finite integer, got True"),
+    ("nodes-fraction", "verify-pde", {"pde": {"nodes": 40.5}}, "pde.nodes must be a finite integer, got 40.5"),
+    ("Pe-true", "solve", {"coefficients": {"family": "constant", "Pe": True}}, "coefficients.Pe must be a finite number, got True"),
+    ("T_star-false", "solve", {"bc": {"kind": "dirichlet", "T_star": False}}, "bc.T_star must be a finite number, got False"),
+    ("times-true", "solve", {"outputs": {"times": [1.0, True]}}, "outputs.times must be a list of finite numbers, got [1.0, True]"),
     # sizes above MAX_NODES = 2**20 would ask for arrays of that many nodes
     ("n-1e300", "solve", {"numerics": {"n": 1e300}}, "grid must have at most 1048576 intervals"),
     ("nodes-1e300", "verify-pde", {"pde": {"nodes": 1e300}}, "need at most 1048576 space intervals"),
@@ -140,6 +162,14 @@ def test_unreadable_config_values_exit_3(tmp_path, monkeypatch, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and message in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_floats_are_read_as_integers(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", numerics={"n": 64.0}, outputs={"times": [1.0], "nx": 3.0})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert len((out / "profile.csv").read_text().splitlines()) == 1 + 65
+    assert len((out / "field.csv").read_text().splitlines()) == 1 + 3
 
 
 LINEAR = {"family": "linear", "alpha": 0.1, "beta": 0.1, "Pe": 0.5}

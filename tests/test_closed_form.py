@@ -76,11 +76,11 @@ def test_neumann_profile_front_endpoint():
 
 
 def test_neumann_profile_at_large_peclet_matches_high_precision():
-    # 50-digit mpmath value of q* sqrt(pi)/2 (erf(b) - erf(a)) exp(64) at the profile's own
-    # arguments b = 8 - lam/2 and a = 8 - lam, for load 0.01 (q* = 0.02) at Pe = 8
+    # 50-digit mpmath value of q* sqrt(pi)/2 (erf(8 - xi) - erf(8 - lam)) exp(64) at the exact
+    # floats xi = lam/2 and lam, for load 0.01 (q* = 0.02) at Pe = 8
     sol = neumann_constant(0.01, 8.0)
     assert sol.lam == pytest.approx(0.01214258974855222, rel=1e-15, abs=0.0)
-    reference = 0.00014051601975981156770984893042081375655377299014492
+    reference = 0.0001405160197598230811015912127117326380309789368249
     assert float(sol.profile(sol.lam / 2.0)) == pytest.approx(reference, rel=2e-14, abs=0.0)
 
 

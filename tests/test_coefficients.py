@@ -18,7 +18,6 @@ from meltfront import (
     certify,
     constant_model,
     constant_problem,
-    estimate_bounds,
     eval_kernels,
     linear_model,
     linear_problem,
@@ -104,7 +103,7 @@ def reduced_coefficients(prob, f):
 
 def composed_copy(model):
     """The same coefficients and constants as a model that records no family."""
-    return ThermalModel(model.k, model.rho_c, model.mu, model.k0, model.rho0, model.c0, model.ell, model.bounds)
+    return ThermalModel(model.k, model.rho_c, model.mu, model.k0, model.rho0, model.c0, model.ell)
 
 
 def assert_bounds_hold(prob, f):
@@ -366,40 +365,40 @@ def test_scaling_k_and_k0_together_is_invariant():
     assert (p1.L_m, p1.L_M, p1.L_tilde) == pytest.approx((p2.L_m, p2.L_M, p2.L_tilde))
 
 
-def test_estimate_bounds_constant_model():
-    model = constant_model(2.0, 1.0, 1.0, 1.0, Pe=0.3)
-    b = estimate_bounds(model, (1.0, 2.0))
-    assert b.k_m == b.k_M == pytest.approx(2.0)
-    assert b.k_tilde == pytest.approx(0.0, abs=1e-14)
-    assert not b.certified
+def test_sampled_bounds_of_a_constant_model():
+    prob = build_dimensionless(composed_copy(constant_model(2.0, 1.0, 1.0, 1.0, Pe=0.3)), Dirichlet(T_star=2.0, T_m=1.0))
+    assert prob.L_m == prob.L_M == 1.0
+    assert prob.L_tilde == 0.0
+    assert not prob.bounds_certified
 
 
-def test_estimate_bounds_linear_conductivity():
+def test_sampled_bounds_of_a_linear_conductivity():
     # k(T) = k0 (1 + 0.2 (T - T_star)/(T_m - T_star)) on [T_m, T_star]
     model = linear_model(1.0, 1.0, 1.0, 1.0, alpha=0.0, beta=0.2, Pe=0.0, T_star=2.0, T_m=1.0)
-    b = estimate_bounds(model, (1.0, 2.0))
-    assert b.k_m == pytest.approx(1.0)
-    assert b.k_M == pytest.approx(1.2)
+    prob = build_dimensionless(composed_copy(model), Dirichlet(T_star=2.0, T_m=1.0))
+    assert prob.L_m == pytest.approx(1.0)
+    assert prob.L_M == pytest.approx(1.2)
+    assert prob.L_tilde == pytest.approx(0.2)
 
 
-def test_estimate_bounds_brackets_table_spike():
-    # brute-force oracle over the same sample set
+def brute_force_bounds(fn, f):
+    vals = fn(f)
+    return float(vals.min()), float(vals.max()), float(np.max(np.abs(np.diff(vals)))) / (f[1] - f[0])
+
+
+def test_sampled_bounds_bracket_a_table_spike():
+    # brute-force oracle over the same 257 samples of f
     T = np.linspace(1.0, 2.0, 9)
     k = np.full(9, 2.0)
     k[4] = 3.5  # interior spike
-    model = table_model(T, k, np.full(9, 1.0), np.zeros(9), 2.0, 1.0, 1.0, 1.0)
-    samples = 257  # estimate_bounds' own sample count
-    b = estimate_bounds(model, (1.0, 2.0))
-    Ts = np.linspace(1.0, 2.0, samples)
-    vals = np.interp(Ts, T, k)
-    assert b.k_m == pytest.approx(float(vals.min()))
-    assert b.k_M == pytest.approx(float(vals.max()))
-    steepest = float(np.max(np.abs(np.diff(vals)))) / (Ts[1] - Ts[0])
-    assert b.k_tilde == pytest.approx(steepest)
+    bc = Dirichlet(T_star=2.0, T_m=1.0)
+    prob = build_dimensionless(table_model(T, k, np.full(9, 1.0), np.zeros(9), 2.0, 1.0, 1.0, 1.0), bc)
+    expected = brute_force_bounds(lambda f: np.interp(temperature_of_f(bc, f), T, k) / 2.0, F_DENSE)
+    assert (prob.L_m, prob.L_M, prob.L_tilde) == expected
+    assert prob.L_M == 1.75
 
 
-def test_estimate_bounds_rejects_nonpositive_coefficient():
-    T = np.linspace(1.0, 2.0, 5)
+def test_sampled_bounds_reject_a_nonpositive_coefficient():
     model = ThermalModel(
         k=lambda x: np.asarray(x) - 1.5,  # negative below 1.5
         rho_c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -409,8 +408,38 @@ def test_estimate_bounds_rejects_nonpositive_coefficient():
         c0=1.0,
         ell=1.0,
     )
-    with pytest.raises(ConfigError, match="non-positive"):
-        estimate_bounds(model, (1.0, 2.0))
+    with pytest.raises(ConfigError, match=r"coefficient k returned a non-positive value on \[1.0, 2.0\]"):
+        build_dimensionless(model, Dirichlet(T_star=2.0, T_m=1.0))
+
+
+BENCH_TABLE = np.array(
+    [(T, 1.0 + 0.08 * math.sin(5.0 * T), 1.0 + 0.05 * math.cos(3.0 * T), 0.3 + 0.1 * (T - 1.0))
+     for T in 0.5 + 0.1 * np.arange(26)]
+)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        Dirichlet(T_star=2.0, T_m=1.3),
+        Neumann(q=0.5, T_m=1.3),
+        Robin(h=0.7, T_star=2.0, T_m=1.3),
+        Radiative(h=0.05, sigma=0.05, epsilon=0.05, T_star=2.0, T_m=1.3),
+    ],
+    ids=["dirichlet", "neumann", "robin", "radiative"],
+)
+def test_a_table_models_nine_constants_are_a_scan_of_its_coefficients(bc):
+    prob = build_dimensionless(table_model(*BENCH_TABLE.T, 2.3, 0.7, 1.9, 1.0), bc)
+    for name, fn in (("L", prob.L_star), ("N", prob.N_star), ("mu", prob.mu_star)):
+        stated = tuple(getattr(prob, f"{name}_{suffix}") for suffix in ("m", "M", "tilde"))
+        assert stated == brute_force_bounds(fn, F_DENSE), name
+    assert not prob.bounds_certified
+
+
+def test_a_neumann_range_whose_upper_end_overflows_is_rejected():
+    # the samples of f in [0, 1] would span T in [T_m, 2 T_m] = [1e308, inf]
+    with pytest.raises(ConfigError, match="non-degenerate"):
+        build_dimensionless(table_model(*BENCH_TABLE.T, 1.0, 1.0, 1.0, 1.0), Neumann(q=0.5, T_m=1e308))
 
 
 def test_model_without_bounds_gets_sampled_bounds():

@@ -81,7 +81,6 @@ def test_non_finite_coefficient_triggers_instability_abort(dirichlet_case):
         rho0=model.rho0,
         c0=model.c0,
         ell=model.ell,
-        bounds=model.bounds,
     )
     with pytest.raises(ConvergenceError, match="unstable"):
         verify(sol, broken, bc, FrontFixedScheme(nodes=40, t0=1.0, t1=1.2))
