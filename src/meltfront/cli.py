@@ -78,11 +78,12 @@ def _check_keys(block: dict, allowed, where: str) -> None:
 def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
     """The value of the last part of the dotted ``name`` in ``block``, as ``kind``.
 
-    float and int values are converted and must be finite, an int read from
-    a float must be integral, a list must hold finite numbers (returned as
-    floats), and a dict or str must already be one.  A boolean is not a
-    number.  A missing key returns ``default`` when one is given.  Anything
-    else raises ConfigError naming ``name``.
+    float and int values are converted and must be finite, a string is read
+    as the number it spells, an int read from a float or a string must be
+    integral, a list must hold finite numbers (returned as floats), and a
+    dict or str must already be one.  A boolean is not a number.  A missing
+    key returns ``default`` when one is given.  Anything else raises
+    ConfigError naming ``name``.
     """
     key = name.rpartition(".")[2]
     if key not in block:
@@ -100,9 +101,10 @@ def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
                 if all(map(math.isfinite, numbers)):
                     return numbers
         elif not isinstance(value, bool):
-            number = kind(value)
-            # int() would truncate 64.7 to 64
-            if math.isfinite(number) and (not isinstance(value, float) or number == value):
+            # int() would refuse "64.0" and truncate 64.7 to 64
+            parsed = float(value) if isinstance(value, str) else value
+            number = kind(parsed)
+            if math.isfinite(number) and (not isinstance(parsed, float) or number == parsed):
                 return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -370,6 +372,13 @@ def _cmd_verify_pde(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg, args.grid)
     scheme = _from_block(FrontFixedScheme, cfg, "pde")
+    # the similarity data at t0 and t1 need 0 < alpha0*t < inf, as in solve
+    alpha0 = problem.model.alpha0
+    for key in ("t0", "t1"):
+        t = getattr(scheme, key)
+        if not 0.0 < alpha0 * t < math.inf:
+            raise ConfigError(f"pde.{key} must be positive with finite, non-zero alpha0*t "
+                              f"(alpha0 = {alpha0!r}), got {t!r}")
     outdir = _out_dir(cfg, args)
     report = None
     try:

@@ -16,12 +16,22 @@ continuous function is all bisection needs.  ITP needs no more and keeps
 bisection's worst-case step count plus one, because its interpolation
 steps stay inside a shrinking ball around the midpoint; on the smooth V
 met in practice it takes about 7 V evaluations instead of about 30.
+
+The outer search stops at |V - lambda| <= outer_tol (DEFAULT_GRID_N / n)^2
+on grids finer than DEFAULT_GRID_N: the trapezoid error in lambda falls as
+n^-2, and the stop rule keeps the same share of it at every n.  Grids of at
+least 4 DEFAULT_GRID_N intervals are solved by nested iteration (Brandt,
+Math. Comp. 31, 1977): the bracketed search runs at DEFAULT_GRID_N, where a
+V evaluation is cheap, and a few chord steps on the fine grid, warm-started
+from the coarse profile, take the last digits.  When the chord steps do not
+converge, or the coarse search fails, the bracketed search runs on the fine
+grid itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import erf
@@ -30,7 +40,7 @@ from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
 from .errors import ConfigError, ConvergenceError, MeltfrontError
 from .fixed_point import InnerResult, _radiative_g0, solve_profile
 from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid
-from .rootfind import bisect_root, sign_change_intervals
+from .rootfind import bisect_root, chord_root, sign_change_intervals
 
 __all__ = [
     "SolverSettings",
@@ -53,6 +63,11 @@ _SCAN_POINTS = 1024
 # lambda_max * 1e-9, the solve at lambda2 * 1e-8); above this floor it stays
 # a normal float instead of underflowing to 0
 _LAMBDA_MAX_FLOOR = 1e-290
+# grids with at least this many intervals are solved from a root located at
+# DEFAULT_GRID_N; on coarser ones the extra solve costs more than it saves
+_CONTINUATION_N = 4 * DEFAULT_GRID_N
+# chord steps on the fine grid before the bracketed search takes over
+_CHORD_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -247,47 +262,93 @@ class SolveReport:
 
 
 def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveReport:
-    """Find lambda with |V(lambda) - lambda| <= outer_tol by ITP over the bracket.
+    """Find lambda with |V(lambda) - lambda| <= outer_tol min(1, (DEFAULT_GRID_N / n)^2).
 
-    Each V evaluation re-solves the inner problem warm-started from the
-    previous profile (the inner fixed point is unique, so the start only
+    Below ``_CONTINUATION_N`` intervals the root is found by ITP over the
+    bracket.  Each V evaluation re-solves the inner problem warm-started from
+    the previous profile (the inner fixed point is unique, so the start only
     affects iteration counts).  If the bracket endpoints do not show a sign
     change, the bracket is scanned at 64 points before giving up.  The
     search otherwise stops when the bracket is narrower than
     1e-15 max(1, lambda) or after 200 steps; the reported lambda is the
     evaluated point with the smallest |V - lambda|, with its own profile.
-    Any MeltfrontError raised after the certificate is issued carries it as
-    ``existence``.
+
+    From ``_CONTINUATION_N`` intervals that search runs at DEFAULT_GRID_N
+    with ``outer_tol``.  The fine grid then starts from the coarse root and
+    profile (interpolated on xi / lambda) and takes up to ``_CHORD_STEPS``
+    chord steps, with the secant slope through the coarse search's two best
+    points, inside the widened bracket.  The reported lambda is the first
+    fine point that meets the tolerance, and ``outer_iterations`` counts the
+    coarse ITP steps plus the fine V evaluations.  Should the chord not
+    converge or the coarse search raise, the ITP search runs at n instead, so
+    it decides every failure, and its steps are added to the count.
+
+    Certification reads no grid, so the one certificate serves both grids.
+    Any MeltfrontError raised after it is issued carries it as ``existence``.
     """
     from .existence import certify  # deferred: existence builds on this module's bracket
 
     cert = certify(prob, settings)
+    tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / settings.n) ** 2)
     try:
-        return _solve_in_bracket(prob, settings, cert)
+        steps = 0
+        if settings.n >= _CONTINUATION_N:
+            chorded, steps = _solve_from_coarse(prob, settings, cert, tol)
+            if chorded is not None:
+                return _report(prob, settings, cert, chorded, steps)
+        ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
+        return _report(prob, settings, cert, ranked[0], steps + itp_steps)
     except MeltfrontError as exc:
         exc.existence = cert
         raise
 
 
-def _solve_in_bracket(prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport") -> SolveReport:
-    br = cert.bracket
+# one evaluation of g = V - lambda: (lambda, g, the inner solve at lambda)
+_Evaluation = tuple[float, float, InnerResult]
+
+
+class _FrontResidual:
+    """g(lambda) = V(lambda) - lambda on one grid, each inner solve warm-started from the last profile.
+
+    ``warm`` holds node values over the relative grid xi / lambda, so they
+    start an inner solve at any lambda.  Every evaluation is kept in
+    ``evaluated``.
+    """
+
+    def __init__(self, prob: DimensionlessProblem, settings: SolverSettings, warm: np.ndarray | None = None):
+        self.prob = prob
+        self.settings = settings
+        self.warm = warm
+        self.evaluated: list[_Evaluation] = []
+
+    def __call__(self, lam: float) -> float:
+        f0 = None if self.warm is None else ProfileGrid(lam, self.warm)
+        value, inner = v_value(self.prob, lam, self.settings, f0=f0)
+        self.warm = inner.profile.f
+        self.evaluated.append((lam, value - lam, inner))
+        return value - lam
+
+
+def _search_interval(br: Bracket) -> tuple[float, float]:
     # widen both ends a hair: with coefficients sitting exactly on their
     # bounds the sandwich is tight and the root can coincide with either
     # bracket end, where quadrature bias leaves the residual barely one-signed
-    lo = max(br.lambda1 * (1.0 - 1e-4), br.lambda2 * 1e-8)
-    hi = br.lambda2 * (1.0 + 1e-4)
+    return max(br.lambda1 * (1.0 - 1e-4), br.lambda2 * 1e-8), br.lambda2 * (1.0 + 1e-4)
 
-    warm: dict[str, np.ndarray | None] = {"f": None}
-    evaluated: list[tuple[float, float, InnerResult]] = []
 
-    def g(lam: float) -> float:
-        f0 = None
-        if warm["f"] is not None:
-            f0 = ProfileGrid(lam, warm["f"])
-        value, inner = v_value(prob, lam, settings, f0=f0)
-        warm["f"] = inner.profile.f
-        evaluated.append((lam, value - lam, inner))
-        return value - lam
+def _solve_in_bracket(
+    prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", tol: float
+) -> tuple[list[_Evaluation], int]:
+    """ITP over the widened bracket on settings.n intervals until |g| <= tol.
+
+    Returns the candidates for the reported lambda (the bracket ends and the
+    ITP steps), smallest |g| first and otherwise in evaluation order, and
+    the number of ITP steps.
+    """
+    br = cert.bracket
+    lo, hi = _search_interval(br)
+    g = _FrontResidual(prob, settings)
+    evaluated = g.evaluated
 
     ga, gb = g(lo), g(hi)
     a, b = lo, hi
@@ -309,22 +370,47 @@ def _solve_in_bracket(prob: DimensionlessProblem, settings: SolverSettings, cert
                 lam=None,
             )
 
-    # candidates for the reported lambda: the bracket ends and the ITP steps
     evaluated[:] = [e for e in evaluated if e[0] in (a, b)]
     ends = len(evaluated)
     # the width rule is fixed from the lower end, so it never stops the
     # search before the bracket is narrower than 1e-15 max(1, lambda)
-    bisect_root(g, a, b, xtol=0.5e-15 * max(1.0, a), ftol=settings.outer_tol, max_iter=200, fa=ga, fb=gb)
-    outer_iterations = len(evaluated) - ends
-    lam_tilde, g_best, inner_best = min(evaluated, key=lambda e: abs(e[1]))
-    profile = inner_best.profile
+    bisect_root(g, a, b, xtol=0.5e-15 * max(1.0, a), ftol=tol, max_iter=200, fa=ga, fb=gb)
+    return sorted(evaluated, key=lambda e: abs(e[1])), len(evaluated) - ends
+
+
+def _solve_from_coarse(
+    prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", tol: float
+) -> tuple[_Evaluation | None, int]:
+    """The fine root by chord steps from the DEFAULT_GRID_N root, or None; and the steps taken."""
+    coarse = replace(settings, n=DEFAULT_GRID_N)
+    try:
+        ranked, steps = _solve_in_bracket(prob, coarse, cert, settings.outer_tol)
+    except MeltfrontError:
+        return None, 0
+    (lam_c, g_c, inner_c), (lam_2, g_2, _) = ranked[:2]
+    warm = np.interp(np.linspace(0.0, 1.0, settings.n + 1), np.linspace(0.0, 1.0, coarse.n + 1), inner_c.profile.f)
+    g = _FrontResidual(prob, settings, warm)
+    try:
+        lam = chord_root(g, lam_c, (g_c - g_2) / (lam_c - lam_2), *_search_interval(cert.bracket),
+                         ftol=tol, max_steps=_CHORD_STEPS)
+    except MeltfrontError:
+        lam = None
+    steps += len(g.evaluated)
+    return (None if lam is None else g.evaluated[-1]), steps
+
+
+def _report(
+    prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", best: _Evaluation, steps: int
+) -> SolveReport:
+    lam, g_best, inner = best
+    profile = inner.profile
     return SolveReport(
-        lambda_tilde=lam_tilde,
+        lambda_tilde=lam,
         profile=profile,
-        inner=inner_best,
-        v_at_lambda=g_best + lam_tilde,
+        inner=inner,
+        v_at_lambda=g_best + lam,
         outer_residual=abs(g_best),
-        outer_iterations=outer_iterations,
+        outer_iterations=steps,
         front_flux_residual=front_flux_residual(prob, profile),
         profile_max=float(np.max(profile.f)),
         existence=cert,

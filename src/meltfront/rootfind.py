@@ -1,4 +1,4 @@
-"""Scalar root helpers: one bracketed root finder and a sign-change scan.
+"""Scalar root helpers: one bracketed root finder, a local chord step and a sign-change scan.
 
 Every scalar root of the package (sandwich curves, contraction threshold,
 closed forms and the outer front-coefficient equation) goes through
@@ -12,6 +12,10 @@ that the bracket never takes more steps than bisection plus one.  On smooth
 functions the interpolation wins and convergence is superlinear; on rough
 ones, or where the function is infinite at a bracket end, the step is the
 midpoint and the method is plain bisection.
+
+:func:`chord_root` is the one local method: a few chord steps from a point
+already close to a root, with a slope known from elsewhere.  It proves
+nothing and may give up, so every caller keeps :func:`bisect_root` behind it.
 """
 
 from __future__ import annotations
@@ -100,6 +104,41 @@ def bisect_root(
         if b - a <= 2.0 * xtol:
             break
     return 0.5 * (a + b)
+
+
+def chord_root(
+    fn: Callable[[float], float],
+    x0: float,
+    slope: float,
+    lo: float,
+    hi: float,
+    *,
+    ftol: float,
+    max_steps: int,
+) -> float | None:
+    """Chord iteration x <- x - fn(x) / slope from x0; the first point with |fn| <= ``ftol``, or None.
+
+    This is a local method: it has no bracket and converges only when x0 is
+    close to a root and ``slope`` close to fn's slope there.  It gives up,
+    returning None, after ``max_steps`` steps, when a step would leave
+    [lo, hi], or when a step is needed and ``slope`` is zero or not finite.
+    A caller must therefore always have a bracketed search
+    (:func:`bisect_root`) to fall back on.  At most ``max_steps`` + 1 points
+    are evaluated, x0 first.
+    """
+    usable = math.isfinite(slope) and slope != 0.0
+    x = float(x0)
+    for step in range(max_steps + 1):
+        fx = float(fn(x))
+        if abs(fx) <= ftol:
+            return x
+        if step == max_steps or not usable:
+            break
+        x -= fx / slope
+        # also refuses a NaN step
+        if not lo <= x <= hi:
+            break
+    return None
 
 
 def sign_change_intervals(

@@ -1,12 +1,13 @@
 """Shared test helpers: independent oracles kept deliberately separate
-from the library's own numerics."""
+from the library's own numerics, and the bracketed outer search that the
+nested-grid path of solve_lambda is compared against."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from meltfront import BCKind, ProfileGrid, linear_problem
+from meltfront import DEFAULT_GRID_N, BCKind, ProfileGrid, certify, lambda_solver, linear_problem
 
 
 def cumtrapz_ref(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -29,6 +30,14 @@ def bisect_ref(fn, a: float, b: float, tol: float = 1e-14, it: int = 200) -> flo
         if b - a < tol:
             break
     return 0.5 * (a + b)
+
+
+def full_bracket_lambda(prob, settings) -> float:
+    """lambda from the ITP search over the whole bracket on settings.n intervals, cold-started,
+    stopping at |V - lambda| <= outer_tol (DEFAULT_GRID_N / n)^2 on finer grids."""
+    tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / settings.n) ** 2)
+    ranked, _ = lambda_solver._solve_in_bracket(prob, settings, certify(prob, settings), tol)
+    return ranked[0][0]
 
 
 def random_profile(rng: np.random.Generator, lam: float, n: int, lo: float = 0.0, hi: float = 1.0) -> ProfileGrid:

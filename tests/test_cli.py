@@ -103,10 +103,31 @@ UNREADABLE_CONFIGS = [
         {"outputs": {"times": [1.0, 5e-324]}, "reference": {"k0": 0.1, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
         "outputs.times must all be positive with finite, non-zero alpha0*t (alpha0 = 0.1), got [1.0, 5e-324]",
     ),
+    # the PDE march starts from s(t0) and the similarity field at t0 and t1
+    (
+        "pde-t0-alpha0-t-overflow",
+        "verify-pde",
+        {"pde": {"t0": 1e308, "t1": 1e308}, "reference": {"k0": 10.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
+        "pde.t0 must be positive with finite, non-zero alpha0*t (alpha0 = 10.0), got 1e+308",
+    ),
+    (
+        "pde-t1-alpha0-t-overflow",
+        "verify-pde",
+        {"pde": {"t0": 1.0, "t1": 1e308}, "reference": {"k0": 10.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
+        "pde.t1 must be positive with finite, non-zero alpha0*t (alpha0 = 10.0), got 1e+308",
+    ),
+    (
+        "pde-t0-alpha0-t-underflow",
+        "verify-pde",
+        {"pde": {"t0": 5e-324, "t1": 1.0}, "reference": {"k0": 0.1, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}},
+        "pde.t0 must be positive with finite, non-zero alpha0*t (alpha0 = 0.1), got 5e-324",
+    ),
     # an int is never truncated from a float, and a JSON boolean is not a number
     ("n-fraction", "solve", {"numerics": {"n": 64.7}}, "numerics.n must be a finite integer, got 64.7"),
     ("nx-fraction", "solve", {"outputs": {"nx": 3.9}}, "outputs.nx must be a finite integer, got 3.9"),
     ("n-text-fraction", "solve", {"numerics": {"n": "64.7"}}, "numerics.n must be a finite integer, got '64.7'"),
+    ("nx-text-fraction", "solve", {"outputs": {"nx": "3.5"}}, "outputs.nx must be a finite integer, got '3.5'"),
+    ("n-text-inf", "solve", {"numerics": {"n": "inf"}}, "numerics.n must be a finite integer, got 'inf'"),
     ("n-true", "solve", {"numerics": {"n": True}}, "numerics.n must be a finite integer, got True"),
     ("nodes-fraction", "verify-pde", {"pde": {"nodes": 40.5}}, "pde.nodes must be a finite integer, got 40.5"),
     ("Pe-true", "solve", {"coefficients": {"family": "constant", "Pe": True}}, "coefficients.Pe must be a finite number, got True"),
@@ -164,8 +185,13 @@ def test_unreadable_config_values_exit_3(tmp_path, monkeypatch, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_integral_floats_are_read_as_integers(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", numerics={"n": 64.0}, outputs={"times": [1.0], "nx": 3.0})
+@pytest.mark.parametrize(
+    "n, nx",
+    [(64.0, 3.0), ("64.0", "3.0"), ("64", "3"), ("6.4e1", "3e0")],
+    ids=["numbers", "decimal-strings", "integer-strings", "exponent-strings"],
+)
+def test_integral_floats_are_read_as_integers(tmp_path, n, nx):
+    cfg = write_config(tmp_path / "cfg.json", numerics={"n": n}, outputs={"times": [1.0], "nx": nx})
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert len((out / "profile.csv").read_text().splitlines()) == 1 + 65

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from meltfront import (
+    DEFAULT_GRID_N,
     BCKind,
     ConfigError,
     ConvergenceError,
@@ -20,9 +21,10 @@ from meltfront import (
     table_model,
     v_value,
 )
+from meltfront import fixed_point, lambda_solver
 from meltfront.lambda_solver import v1_curve, v2_curve
 
-from conftest import bisect_ref
+from conftest import bisect_ref, full_bracket_lambda
 
 DIRICHLET_PE0_STE1 = 0.620062633313595  # root of sqrt(pi) x erf(x) exp(x^2) = 1
 NEUMANN_LOAD_HALF = 0.419364824019131  # root of x exp(x^2) = 1/2
@@ -139,11 +141,13 @@ def test_lambda_increases_with_stefan_number():
     assert np.all(np.diff(lams) > 0.0)
 
 
-def test_no_sign_change_diagnostics():
-    # zero exchange: V is identically 0, so no front coefficient exists
+@pytest.mark.parametrize("n", [64, 4096])
+def test_no_sign_change_diagnostics(n):
+    # zero exchange: V is identically 0, so no front coefficient exists; on a
+    # fine grid the coarse search fails first and the fine one fails the same way
     prob = constant_problem(BCKind.RADIATIVE, Pe=0.5, Ste=1.0, Bi=0.0, r=0.0, T_star=2.0, T_m=1.0)
     with pytest.raises(ConvergenceError, match="no sign change") as exc:
-        solve_lambda(prob, SolverSettings(n=64))
+        solve_lambda(prob, SolverSettings(n=n))
     # the failure carries the certificate the solve issued
     assert exc.value.existence is not None and not exc.value.existence.certified
 
@@ -202,3 +206,84 @@ def test_report_payload_is_json_ready():
 def test_settings_reject_non_finite_numbers(field, value):
     with pytest.raises(ConfigError, match="finite"):
         SolverSettings(**{field: value})
+
+
+def _kernel_nodes(monkeypatch) -> list[int]:
+    """The node count of every kernel evaluation made from now on."""
+    original, nodes = fixed_point.eval_kernels, []
+
+    def counting(profile, prob):
+        nodes.append(profile.f.size)
+        return original(profile, prob)
+
+    monkeypatch.setattr(fixed_point, "eval_kernels", counting)
+    return nodes
+
+
+def test_fine_grid_spends_few_kernel_evaluations_on_its_own_nodes(linear_dirichlet, monkeypatch):
+    # the bracketed search on the fine grid itself took 44 evaluations on 16,385 nodes
+    nodes = _kernel_nodes(monkeypatch)
+    settings = SolverSettings(n=16384)
+    report = solve_lambda(linear_dirichlet, settings)
+    assert 0 < nodes.count(16385) <= 12
+    assert set(nodes) == {16385, DEFAULT_GRID_N + 1}
+    assert report.outer_residual <= settings.outer_tol * (DEFAULT_GRID_N / 16384) ** 2
+    assert report.profile.f.size == 16385 and report.profile.lam == report.lambda_tilde
+    assert report.inner.profile is report.profile
+
+
+@pytest.mark.parametrize("n", [64, DEFAULT_GRID_N, 1024, 2047])
+def test_grids_below_four_default_grids_are_solved_on_their_own_nodes(linear_dirichlet, monkeypatch, n):
+    nodes = _kernel_nodes(monkeypatch)
+    solve_lambda(linear_dirichlet, SolverSettings(n=n))
+    assert nodes and set(nodes) == {n + 1}
+
+
+def test_a_chord_that_cannot_converge_falls_back_to_the_bracketed_search(linear_dirichlet, monkeypatch):
+    settings = SolverSettings(n=4096)
+    original, results = lambda_solver.chord_root, []
+
+    def wrong_slope(fn, x0, slope, lo, hi, **kwargs):
+        # a slope of the wrong sign walks away from the root
+        results.append(original(fn, x0, -slope, lo, hi, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lambda_solver, "chord_root", wrong_slope)
+    report = solve_lambda(linear_dirichlet, settings)
+    assert results == [None]
+    assert report.lambda_tilde == full_bracket_lambda(linear_dirichlet, settings)
+    assert report.profile.f.size == 4097
+
+
+def test_a_coarse_search_that_raises_falls_back_to_the_bracketed_search(linear_dirichlet, monkeypatch):
+    settings = SolverSettings(n=4096)
+    original, raised = lambda_solver._solve_in_bracket, []
+
+    def failing_coarse(prob, grid_settings, cert, tol):
+        if grid_settings.n == DEFAULT_GRID_N:
+            raised.append(tol)
+            raise ConvergenceError("coarse search failed", lam=None)
+        return original(prob, grid_settings, cert, tol)
+
+    monkeypatch.setattr(lambda_solver, "_solve_in_bracket", failing_coarse)
+    report = solve_lambda(linear_dirichlet, settings)
+    assert raised == [settings.outer_tol]
+    monkeypatch.undo()
+    assert report.lambda_tilde == full_bracket_lambda(linear_dirichlet, settings)
+
+
+def test_a_fine_evaluation_that_raises_falls_back_to_the_bracketed_search(linear_dirichlet, monkeypatch):
+    settings = SolverSettings(n=4096)
+    original, raised = lambda_solver.v_value, []
+
+    def failing_once(prob, lam, grid_settings, f0=None):
+        if grid_settings.n == 4096 and not raised:
+            raised.append(lam)
+            raise ConvergenceError("inner iteration failed", lam=lam)
+        return original(prob, lam, grid_settings, f0=f0)
+
+    monkeypatch.setattr(lambda_solver, "v_value", failing_once)
+    report = solve_lambda(linear_dirichlet, settings)
+    assert len(raised) == 1
+    monkeypatch.undo()
+    assert report.lambda_tilde == full_bracket_lambda(linear_dirichlet, settings)
