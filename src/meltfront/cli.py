@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import sys
@@ -207,11 +208,8 @@ def _write_sidecar(outdir: Path, command: str) -> None:
 
 
 def _write_profile_csv(path: Path, xi: np.ndarray, f: np.ndarray) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "f"])
-        for x, v in zip(xi, f):
-            writer.writerow([repr(float(x)), repr(float(v))])
+    rows = "".join(f"{x!r},{v!r}\r\n" for x, v in zip(xi.tolist(), f.tolist()))
+    path.write_text("xi,f\r\n" + rows, newline="")
 
 
 def _say(args, message: str) -> None:
@@ -414,6 +412,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meltfront",

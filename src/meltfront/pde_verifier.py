@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .coefficients import BCKind, BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError, ConvergenceError
@@ -118,7 +118,6 @@ def verify(
 
     s_rel = s_rel_max = 0.0
     steps = 0
-    banded = np.zeros((3, n - 1))
 
     def unstable():
         return ConvergenceError(
@@ -152,15 +151,16 @@ def verify(
             adv = dt * (y[1:-1] * sdot / s - mu[1:-1] / (gam[1:-1] * math.sqrt(t) * s)) / (2.0 * dy)
             lower = -diff * km + adv
             upper = -diff * kp - adv
-            banded[0, 1:] = upper[:-1]
-            banded[1] = 1.0 + diff * (kp + km)
-            banded[2, :-1] = lower[1:]
             rhs = T[1:-1].copy()
             rhs[0] -= lower[0] * T[0]
             rhs[-1] -= upper[-1] * T[-1]
+            # LAPACK's tridiagonal solve; info > 0 flags a singular system
+            T_new, info = dgtsv(lower[1:], 1.0 + diff * (kp + km), upper[:-1], rhs, overwrite_b=True)[3:]
+            if info != 0:
+                raise unstable()
 
             T0_prev = T[0]
-            T[1:-1] = solve_banded((1, 1), banded, rhs, check_finite=False)
+            T[1:-1] = T_new
             s += dt * sdot
             t += dt
             T[-1] = bc.T_m

@@ -12,7 +12,6 @@ one-phase model defines no temperature there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .coefficients import BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError
@@ -54,17 +52,54 @@ class PhysicalSolution:
             raise ConfigError("alpha0 must be positive")
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        # monotone piecewise cubic: keeps the profile monotone and gives
-        # accurate derivative queries at the front
-        return PchipInterpolator(self.profile.xi, self.profile.f, extrapolate=False)
+    def _pchip(self) -> tuple[np.ndarray, ...]:
+        """Nodes and per-interval cubic coefficients (highest power first) of the PCHIP interpolant.
+
+        The monotone piecewise cubic of Fritsch and Carlson keeps the profile
+        monotone.  Slopes and coefficients are formed in the operation order
+        of scipy's ``PchipInterpolator``, so its values match scipy's bit for bit.
+        """
+        x, y = self.profile.xi, self.profile.f
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if m.size == 1:
+            d[:] = m  # two nodes: the line through them
+        else:
+            # interior: zero at a sign change or a flat neighbour, else the weighted harmonic mean
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        return x, t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
 
     def f_at(self, xi):
         """Profile value at xi; at and beyond the front it is the front node value exactly."""
         lam = self.profile.lam
-        # the interpolant evaluated at its right breakpoint can miss the node
-        # value by an ulp, enough to leave [0, 1]
-        return np.where(np.asarray(xi) >= lam, self.profile.f[-1], self._interp(np.clip(xi, 0.0, lam)))
+        x, c0, c1, c2, c3 = self._pchip
+        q = np.clip(xi, 0.0, lam)
+        k = np.clip(np.searchsorted(x, q, side="right") - 1, 0, c3.size - 1)
+        s = q - x[k]
+        s2 = s * s
+        # summed as scipy's compiled evaluator sums; the leading 0.0 turns a -0.0 into 0.0 as it does
+        cubic = 0.0 + c3[k] + c2[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
+        # the cubic evaluated at its right breakpoint can miss the node value
+        # by an ulp, enough to leave [0, 1]
+        return np.where(np.asarray(xi) >= lam, self.profile.f[-1], cubic)
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point end derivative, zeroed or capped at 3 m0 to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def physical_solution(report, model: ThermalModel, bc: BoundaryCondition) -> PhysicalSolution:
@@ -121,29 +156,24 @@ def stefan_residual(sol: PhysicalSolution, model: ThermalModel, t: float) -> flo
 
 
 def export_field_csv(sol: PhysicalSolution, path: str | Path, times: Sequence[float], nx: int = 101) -> Path:
-    """Write `x,t,T` rows over [0, s(t)] for each time (liquid region only)."""
+    """Write `x,t,T` rows over [0, s(t)] for each time (liquid region only); nothing is written on a bad time."""
     if nx < 0:
         raise ConfigError(f"nx must be non-negative, got {nx}")
     if nx > MAX_NODES:
         raise ConfigError(f"nx must be at most {MAX_NODES}, got {nx}")
+    rows = ["x,t,T\r\n"]
+    for t in map(float, times):
+        x = np.linspace(0.0, front_position(sol, t), nx)
+        T = temperature_of_f(sol.bc, sol.f_at(_similarity_variable(sol, x, t)))
+        rows.extend(f"{xj!r},{t!r},{Tj!r}\r\n" for xj, Tj in zip(x.tolist(), T.tolist()))
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "t", "T"])
-        for t in times:
-            t = float(t)
-            x = np.linspace(0.0, front_position(sol, t), nx)
-            T = temperature_of_f(sol.bc, sol.f_at(_similarity_variable(sol, x, t)))
-            writer.writerows([repr(float(xj)), repr(t), repr(float(Tj))] for xj, Tj in zip(x, T))
+    path.write_text("".join(rows), newline="")
     return path
 
 
 def export_front_csv(sol: PhysicalSolution, path: str | Path, times: Sequence[float]) -> Path:
     """Write `t,s` rows of the front trajectory."""
+    text = "t,s\r\n" + "".join(f"{t!r},{front_position(sol, t)!r}\r\n" for t in map(float, times))
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "s"])
-        for t in times:
-            writer.writerow([repr(float(t)), repr(front_position(sol, float(t)))])
+    path.write_text(text, newline="")
     return path

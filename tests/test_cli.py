@@ -3,12 +3,16 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
-from meltfront import ConvergenceError, cli, dirichlet_constant, existence
+from meltfront import ConvergenceError, cli, dirichlet_constant, existence, pde_verifier
 from meltfront.cli import main
 
 
@@ -406,6 +410,35 @@ def test_grid_override(tmp_path):
     assert report["grid_n"] == 64
     profile = (out / "profile.csv").read_text().splitlines()
     assert len(profile) == 1 + 65
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    coarse, default = tmp_path / "coarse", tmp_path / "default"
+    assert main(["solve", "--config", str(cfg), "--out", str(coarse), "--grid", "64", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["solve", "--config", str(cfg), "--out", str(default)]) == 0
+    assert "lambda =" in capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    assert json.loads((coarse / "report.json").read_text())["grid_n"] == 64
+    assert json.loads((default / "report.json").read_text())["grid_n"] == 512
+
+
+def test_importing_the_cli_does_not_load_scipy_interpolate():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, meltfront.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"
+
+
+def test_singular_pde_step_exits_2(tmp_path, monkeypatch, capsys):
+    # LAPACK reports a zero pivot through info > 0
+    monkeypatch.setattr(pde_verifier, "dgtsv", lambda dl, d, du, b, **kwargs: (dl, d, du, b, 1))
+    cfg = write_config(tmp_path / "cfg.json", pde={"nodes": 40, "t0": 1.0, "t1": 1.2})
+    assert main(["verify-pde", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "unstable at step 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verify.json").exists()
 
 
 # hypotheses hold (small Stefan number keeps the bracket inside the

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from meltfront import (
     table_model,
     temperature_at,
 )
+from meltfront.cli import _write_profile_csv
 from meltfront.coefficients import temperature_of_f
 from meltfront.reconstruct import PhysicalSolution
 
@@ -124,9 +126,14 @@ def test_csv_exports(tmp_path, dirichlet_case):
     # the array export agrees with point queries to the last bit
     for x, t, T in rows[1:]:
         assert float(T) == temperature_at(sol, float(x), float(t))
+    # every time is checked before anything is written
     for t in (0.0, -1.0):
         with pytest.raises(ConfigError):
             export_field_csv(sol, tmp_path / "bad.csv", times=[1.0, t], nx=11)
+        assert not (tmp_path / "bad.csv").exists()
+    with pytest.raises(ConfigError):
+        export_front_csv(sol, tmp_path / "bad.csv", times=[1.0, -1.0])
+    assert not (tmp_path / "bad.csv").exists()
     with front.open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "s"]
@@ -156,3 +163,78 @@ def test_reconstruction_uses_the_reduction_temperature_map():
     sol = physical_solution(solve_lambda(prob, SolverSettings(n=256)), model, bc)
     f = sol.profile.f
     assert np.array_equal(model.k(temperature_of_f(sol.bc, f)) / model.k0, prob.L_star(f))
+
+
+def csv_module_rendering(header, rows) -> bytes:
+    """The rows as the csv module writes them, every number as repr(float(...))."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    return buffer.getvalue().encode()
+
+
+def test_csv_writers_match_the_csv_module_byte_for_byte(tmp_path):
+    # T_star = -0.0 puts a -0.0 at the face; t = 1e-300 puts a 1e-300 in the t column
+    bc = Dirichlet(T_star=-0.0, T_m=-1.0)
+    sol = PhysicalSolution(alpha0=1.0, bc=bc, profile=ProfileGrid(0.8, np.linspace(0.0, 1.0, 33) ** 2))
+
+    xi, f = np.array([0.0, 1e-300, 0.5, 1.0]), np.array([-0.0, 1e-300, 1.0 / 3.0, 1.0])
+    _write_profile_csv(tmp_path / "profile.csv", xi, f)
+    assert (tmp_path / "profile.csv").read_bytes() == csv_module_rendering(["xi", "f"], zip(xi, f))
+
+    times, nx = [1e-300, 1.0, 3.0], 17
+    field = export_field_csv(sol, tmp_path / "field.csv", times, nx)
+    rows = []
+    for t in times:
+        x = np.linspace(0.0, front_position(sol, t), nx)
+        T = temperature_of_f(bc, sol.f_at(x / (2.0 * math.sqrt(sol.alpha0 * t))))
+        rows.extend((xj, t, Tj) for xj, Tj in zip(x, T))
+    assert field.read_bytes() == csv_module_rendering(["x", "t", "T"], rows)
+    assert field.read_bytes().startswith(b"x,t,T\r\n0.0,1e-300,-0.0\r\n")
+
+    times = [-0.0, 1e-300, 1.0, 4.0]
+    front = export_front_csv(sol, tmp_path / "front.csv", times)
+    assert front.read_bytes() == csv_module_rendering(["t", "s"], ((t, front_position(sol, t)) for t in times))
+    assert front.read_bytes().startswith(b"t,s\r\n-0.0,-0.0\r\n1e-300,")
+
+
+def test_interpolant_matches_scipy_pchip_to_the_bit(rng):
+    # scipy.interpolate is imported here only: the package computes PCHIP itself
+    from scipy.interpolate import PchipInterpolator
+
+    profiles = [
+        np.array([0.0, 1.0]),
+        np.array([1.0, -0.0]),
+        np.array([0.2, 0.2]),
+        np.array([0.0, 1.0, 0.5]),
+        np.array([1.0, 0.3, 0.0]),
+        np.array([-0.0, -0.0, 0.5, -0.0]),
+        np.array([1.0 / 3.0, -0.0, -1.0, -10.0]),  # every term at the -0.0 node is -0.0; the value is 0.0
+        np.array([0.0, 0.1, -1.0]),  # the left end slope capped at 3 m0
+        np.array([-1.0, 0.1, 0.0]),  # the right one
+    ]
+    for n in (3, 17, 600):
+        falling = np.sort(rng.uniform(-1.0, 1.0, n + 1))[::-1]
+        falling[np.argmin(np.abs(falling))] = -0.0  # a node value of -0.0 inside a falling run
+        profiles += [
+            falling,
+            rng.uniform(-1.0, 1.0, n + 1),  # slopes change sign
+            np.sort(rng.uniform(0.0, 1.0, n + 1))[::-1],  # monotone
+            np.round(3.0 * rng.uniform(0.0, 1.0, n + 1)) / 3.0,  # flat runs
+            np.abs(np.linspace(-1.0, 1.0, n + 1)),  # a kink
+        ]
+    bc = Dirichlet(T_star=2.0, T_m=1.0)
+    for f in profiles:
+        lam = float(rng.uniform(0.05, 3.0))
+        sol = PhysicalSolution(alpha0=1.0, bc=bc, profile=ProfileGrid(lam, f))
+        xi = sol.profile.xi
+        pchip = PchipInterpolator(xi, sol.profile.f, extrapolate=False)
+        # every node, random interior points, the front and beyond it
+        q = np.concatenate([xi, rng.uniform(0.0, lam, 200), [lam, 1.5 * lam]])
+        expected = np.where(q >= lam, f[-1], pchip(np.clip(q, 0.0, lam)))
+        got = sol.f_at(q)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        for point, value in zip(q[::37], expected[::37]):
+            assert sol.f_at(float(point)) == value
