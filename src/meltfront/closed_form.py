@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, erfc, erfcx
 
 from .coefficients import BCKind
 from .errors import BracketError, ConfigError
@@ -47,7 +46,10 @@ def _erf_gap(Pe, u, v, w):
     Where erfc(Pe - v) < erf(Pe - u) it is taken from erfcx tails, so it does
     not cancel, and each tail's exponent (Pe - w)^2 - (Pe - x)^2 is formed
     as (x - w)(2 Pe - x - w) from the offsets, never from a rounded Pe - x.
+    scipy is imported here, so only the oracles load it.
     """
+    from scipy.special import erf, erfc, erfcx
+
     b, a = Pe - u, Pe - v
     tails = erfcx(a) * np.exp((v - w) * (2.0 * Pe - v - w)) - erfcx(b) * np.exp((u - w) * (2.0 * Pe - u - w))
     with np.errstate(over="ignore", invalid="ignore"):  # exp((Pe - w)^2) overflows only where the tails are taken

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from .coefficients import DimensionlessProblem, eval_coefficient
 from .errors import ConfigError, KernelOverflowError
@@ -137,6 +136,14 @@ def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def _erf(x):
+    """erf by ``math.erf``: a float for a float or 0-d input, an array of the input's shape otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return math.erf(x)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval:
     """Evaluate the four kernels on the profile's grid.
 
@@ -217,7 +224,7 @@ def kernel_bounds(lam: float, prob: DimensionlessProblem, n: int = DEFAULT_GRID_
     I_upper = np.exp(N_M / L_m * z**2)
     E_lower = np.exp(2.0 * mu_m / L_M * z - N_M / L_m * z**2)
     E_upper = np.exp(2.0 * mu_M / L_m * z - N_m / L_M * z**2)
-    Phi_lower = 0.5 * np.sqrt(np.pi) * np.sqrt(L_m) / (L_M * np.sqrt(N_M)) * erf(np.sqrt(N_M / L_m) * z)
+    Phi_lower = 0.5 * np.sqrt(np.pi) * np.sqrt(L_m) / (L_M * np.sqrt(N_M)) * _erf(np.sqrt(N_M / L_m) * z)
     degenerate = mu_M == 0.0
     if degenerate:
         Phi_upper = z / L_m

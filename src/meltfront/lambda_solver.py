@@ -34,12 +34,11 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
 from .errors import ConfigError, ConvergenceError, MeltfrontError
 from .fixed_point import InnerResult, _radiative_g0, solve_profile
-from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid
+from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid, _erf
 from .rootfind import bisect_root, chord_root, sign_change_intervals
 
 __all__ = [
@@ -152,7 +151,7 @@ def v2_curve(prob: DimensionlessProblem, lam):
     else:
         # Dirichlet and Robin share the erf-based Phi lower envelope
         scale = prob.Ste / math.sqrt(math.pi) * math.sqrt(prob.N_M / prob.L_m) * prob.L_M
-        denom = erf(math.sqrt(prob.N_M / prob.L_m) * lam)
+        denom = _erf(math.sqrt(prob.N_M / prob.L_m) * lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             value = np.where(denom == 0.0, math.inf, scale * E_upper / denom)
     return float(value) if value.ndim == 0 else value
@@ -266,10 +265,12 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
 
     Below ``_CONTINUATION_N`` intervals the root is found by ITP over the
     bracket.  Each V evaluation re-solves the inner problem warm-started from
-    the previous profile (the inner fixed point is unique, so the start only
-    affects iteration counts).  If the bracket endpoints do not show a sign
-    change, the bracket is scanned at 64 points before giving up.  The
-    search otherwise stops when the bracket is narrower than
+    the previous profile.  Where the Picard map contracts, the inner fixed
+    point is unique and the start only affects iteration counts; where
+    contraction is not certified, the start can select which fixed point the
+    iteration reaches, and so V(lambda).  If the bracket endpoints do not
+    show a sign change, the bracket is scanned at 64 points before giving
+    up.  The search otherwise stops when the bracket is narrower than
     1e-15 max(1, lambda) or after 200 steps; the reported lambda is the
     evaluated point with the smallest |V - lambda|, with its own profile.
 

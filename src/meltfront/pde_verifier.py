@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .coefficients import BCKind, BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError, ConvergenceError
@@ -30,6 +29,13 @@ from .kernels import MAX_NODES
 from .reconstruct import PhysicalSolution, front_position
 
 __all__ = ["FrontFixedScheme", "PdeDiscrepancy", "verify"]
+
+
+def dgtsv(dl, d, du, b, **kwargs):
+    """LAPACK's tridiagonal solve, scipy's ``dgtsv``; scipy is imported on the first call."""
+    import scipy.linalg.lapack  # after the first call, a lookup in sys.modules
+
+    return scipy.linalg.lapack.dgtsv(dl, d, du, b, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -424,12 +424,43 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert json.loads((default / "report.json").read_text())["grid_n"] == 512
 
 
-def test_importing_the_cli_does_not_load_scipy_interpolate():
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports meltfront from this source tree; return its stdout."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, meltfront.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
+
+@pytest.mark.parametrize("module", ["meltfront", "meltfront.cli"])
+def test_importing_meltfront_loads_no_scipy(module):
+    assert run_fresh(f"import sys, {module}; {LOADED_SCIPY}") == "[]"
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_HEADER + "0.5,1.0,1.0,0.2\n1.0,1.1,0.9,0.3\n2.0,1.3,1.0,0.4\n")
+    dirichlet = write_config(tmp_path / "dirichlet.json",
+                             coefficients={"family": "linear", "alpha": 0.1, "beta": 0.1, "Pe": 0.5})
+    robin = write_config(tmp_path / "robin.json", bc={"kind": "robin", "h": 0.7, "T_star": 2.0},
+                         coefficients={"family": "table", "path": str(table)})
+    code = ("import sys; from meltfront.cli import main\n"
+            "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert main(['solve', '--config', cfg, '--out', out, '--quiet']) == 0\n"
+            + LOADED_SCIPY)
+    assert run_fresh(code, dirichlet, tmp_path / "d", robin, tmp_path / "r") == "[]"
+
+
+@pytest.mark.parametrize("command, output", [("oracle", "oracle.json"), ("verify-pde", "verify.json")])
+def test_commands_that_need_scipy_import_it_when_run(tmp_path, command, output):
+    cfg = write_config(tmp_path / "cfg.json", pde={"nodes": 40, "t0": 1.0, "t1": 1.2})
+    code = ("import sys; from meltfront.cli import main\n"
+            "print(main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3], '--grid', '64', '--quiet']))")
+    assert run_fresh(code, command, cfg, tmp_path / "out") == "0"
+    assert (tmp_path / "out" / output).exists()
 
 
 def test_singular_pde_step_exits_2(tmp_path, monkeypatch, capsys):

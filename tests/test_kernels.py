@@ -370,3 +370,20 @@ def test_solve_sums_only_E_exponent_and_Phi(linear_dirichlet, monkeypatch):
     monkeypatch.setattr(fixed_point, "eval_kernels", counting_eval)
     solve_lambda(linear_dirichlet)
     assert evals and len(sums) == 2 * len(evals)
+
+
+def test_erf_is_within_4_ulp_of_scipy():
+    x = np.linspace(-6.0, 6.0, 120_001)
+    want = erf(x)
+    assert np.all(np.abs(kernels._erf(x) - want) <= 4.0 * np.spacing(np.abs(want)))
+    # an array keeps its shape
+    assert np.array_equal(kernels._erf(x[:6].reshape(2, 3)), kernels._erf(x[:6]).reshape(2, 3))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 30.0, -30.0, math.inf, -math.inf])
+def test_erf_special_arguments(x):
+    want = float(erf(x))
+    for got in (kernels._erf(x), kernels._erf(np.array(x)), float(kernels._erf(np.array([x]))[0])):
+        assert type(got) is float
+        assert abs(got - want) <= 4.0 * np.spacing(abs(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)

@@ -287,3 +287,14 @@ def test_a_fine_evaluation_that_raises_falls_back_to_the_bracketed_search(linear
     assert len(raised) == 1
     monkeypatch.undo()
     assert report.lambda_tilde == full_bracket_lambda(linear_dirichlet, settings)
+
+
+@pytest.mark.parametrize("kind, params", [(BCKind.DIRICHLET, {}), (BCKind.ROBIN, {"Bi": 0.7})])
+def test_v2_scan_and_refine_see_one_function(kind, params):
+    # the bracket scan calls v2_curve on an array, the lambda2 refine on floats
+    prob = linear_problem(kind, alpha=0.1, beta=0.1, Pe=0.5, Ste=1.0, **params)
+    lambda_max = SolverSettings().lambda_max
+    xs = np.linspace(lambda_max * 1e-9, lambda_max, lambda_solver._SCAN_POINTS)
+    refined = [v2_curve(prob, float(x)) for x in xs]
+    assert all(type(v) is float for v in refined)
+    assert v2_curve(prob, xs).tobytes() == np.array(refined).tobytes()
