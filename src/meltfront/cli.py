@@ -338,6 +338,8 @@ def _cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
         fh.flush()
+        # each case starts from the root of the last case, unless that one failed
+        start = None
         for index, combo in enumerate(tuples):
             case_cfg = copy.deepcopy(base)
             for name, value in zip(names, combo):
@@ -345,7 +347,8 @@ def _cmd_sweep(args) -> int:
             row = {"case": index, **dict(zip(names, combo))}
             try:
                 problem = build_problem(case_cfg, args.grid)
-                report = solve_lambda(problem.prob, problem.settings)
+                report = solve_lambda(problem.prob, problem.settings, start)
+                start = report.start
                 row.update({
                     "lambda": report.lambda_tilde,
                     "outer_residual": report.outer_residual,
@@ -357,6 +360,7 @@ def _cmd_sweep(args) -> int:
             except MeltfrontError as exc:
                 # the writer leaves the result columns of an error row empty
                 row["status"] = f"error: {exc}"
+                start = None
             any_failed = any_failed or row["status"] != "ok"
             writer.writerow(row)
             fh.flush()

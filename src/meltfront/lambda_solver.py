@@ -26,6 +26,12 @@ V evaluation is cheap, and a few chord steps on the fine grid, warm-started
 from the coarse profile, take the last digits.  When the chord steps do not
 converge, or the coarse search fails, the bracketed search runs on the fine
 grid itself.
+
+A sweep solves its cases in a row and starts each search from the root of
+the case before it (natural-parameter continuation; Allgower and Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003): chord steps from
+the neighbour's lambda, slope and profile replace the bracketed search on
+the search grid, which stays behind them as the fallback.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
 from .errors import ConfigError, ConvergenceError, MeltfrontError
-from .fixed_point import InnerResult, _radiative_g0, solve_profile
+from .fixed_point import _ESCAPE_TOL, InnerResult, _radiative_g0, solve_profile
 from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid, _erf
 from .rootfind import bisect_root, chord_root, sign_change_intervals
 
@@ -45,6 +51,7 @@ __all__ = [
     "SolverSettings",
     "DEFAULT_SETTINGS",
     "Bracket",
+    "SearchStart",
     "SolveReport",
     "v1_curve",
     "v2_curve",
@@ -67,6 +74,13 @@ _LAMBDA_MAX_FLOOR = 1e-290
 _CONTINUATION_N = 4 * DEFAULT_GRID_N
 # chord steps on the fine grid before the bracketed search takes over
 _CHORD_STEPS = 4
+# chord steps from a neighbouring problem's root before the bracketed search
+# takes over; on the benchmark sweep one case in 40 needed a seventh
+_START_STEPS = 7
+# the secant slope a chord from a start hands on spans at least this share of
+# max(1, lambda): the forward-difference step of Dennis and Schnabel
+# (Numerical Methods for Unconstrained Optimization, 1983, section 5.4)
+_SLOPE_SPAN = math.sqrt(math.ulp(1.0))
 
 
 @dataclass(frozen=True)
@@ -245,8 +259,28 @@ def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> flo
 
 
 @dataclass(frozen=True)
+class SearchStart:
+    """A root found on the search grid, offered as the start of a neighbouring problem's search.
+
+    ``f`` holds the root's profile over the relative grid xi / ``lam``, and
+    ``slope`` a secant slope of V - lambda through the root and another
+    evaluated point.
+    """
+
+    bc_kind: BCKind
+    lam: float
+    slope: float
+    f: np.ndarray
+
+
+@dataclass(frozen=True)
 class SolveReport:
-    """Full outcome of one front-coefficient solve; bracket and bc kind are the certificate's."""
+    """Full outcome of one front-coefficient solve; bracket and bc kind are the certificate's.
+
+    ``start`` is the root on the search grid (DEFAULT_GRID_N intervals from
+    ``_CONTINUATION_N`` up, else the grid itself) as a start for a
+    neighbouring problem, or None when that search failed.
+    """
 
     lambda_tilde: float
     profile: ProfileGrid
@@ -258,9 +292,12 @@ class SolveReport:
     profile_max: float
     existence: "ExistenceReport"
     settings: SolverSettings
+    start: SearchStart | None = None
 
 
-def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveReport:
+def solve_lambda(
+    prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS, start: SearchStart | None = None
+) -> SolveReport:
     """Find lambda with |V(lambda) - lambda| <= outer_tol min(1, (DEFAULT_GRID_N / n)^2).
 
     Below ``_CONTINUATION_N`` intervals the root is found by ITP over the
@@ -278,11 +315,26 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
     with ``outer_tol``.  The fine grid then starts from the coarse root and
     profile (interpolated on xi / lambda) and takes up to ``_CHORD_STEPS``
     chord steps, with the secant slope through the coarse search's two best
-    points, inside the widened bracket.  The reported lambda is the first
+    points (after chord steps from a start, see ``_chord_slope``), inside the
+    widened bracket.  The reported lambda is the first
     fine point that meets the tolerance, and ``outer_iterations`` counts the
     coarse ITP steps plus the fine V evaluations.  Should the chord not
     converge or the coarse search raise, the ITP search runs at n instead, so
     it decides every failure, and its steps are added to the count.
+
+    A ``start``, the ``SolveReport.start`` of a neighbouring problem (a sweep
+    passes each case's to the next), replaces the ITP on the search grid
+    (DEFAULT_GRID_N from ``_CONTINUATION_N`` up, else n) with up to
+    ``_START_STEPS`` chord steps from its lambda and slope, warm-started from
+    its profile, inside the widened bracket and with the ITP's stop
+    tolerance.  It is used only when it comes from the same kind of boundary
+    condition and the same search grid, its lambda lies in the widened
+    bracket and its profile in [0, 1] (Neumann: at or above 0), each up to
+    ``fixed_point._ESCAPE_TOL``; otherwise the solve is the one without a
+    start, bit for bit.  When the chord gives up, the ITP runs as without a
+    start.  ``outer_iterations`` counts every V evaluation of the chord, the
+    first included.  The lambda found from a start can differ from the one
+    found without it by about the stop tolerance over |V' - 1|.
 
     Certification reads no grid, so the one certificate serves both grids.
     Any MeltfrontError raised after it is issued carries it as ``existence``.
@@ -292,13 +344,14 @@ def solve_lambda(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_
     cert = certify(prob, settings)
     tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / settings.n) ** 2)
     try:
-        steps = 0
-        if settings.n >= _CONTINUATION_N:
-            chorded, steps = _solve_from_coarse(prob, settings, cert, tol)
-            if chorded is not None:
-                return _report(prob, settings, cert, chorded, steps)
+        if settings.n < _CONTINUATION_N:
+            best, found, steps = _search(prob, settings, cert, tol, start)
+            return _report(prob, settings, cert, best, steps, found)
+        chorded, found, steps = _solve_from_coarse(prob, settings, cert, tol, start)
+        if chorded is not None:
+            return _report(prob, settings, cert, chorded, steps, found)
         ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
-        return _report(prob, settings, cert, ranked[0], steps + itp_steps)
+        return _report(prob, settings, cert, ranked[0], steps + itp_steps, found)
     except MeltfrontError as exc:
         exc.existence = cert
         raise
@@ -379,29 +432,96 @@ def _solve_in_bracket(
     return sorted(evaluated, key=lambda e: abs(e[1])), len(evaluated) - ends
 
 
+def _usable(start: SearchStart | None, prob: DimensionlessProblem, n: int) -> bool:
+    """Whether ``start`` may start a search on n intervals (see solve_lambda).
+
+    A start outside the search interval is refused by chord_root itself.
+    """
+    if start is None or start.bc_kind is not prob.bc_kind or start.f.size != n + 1:
+        return False
+    if not float(np.min(start.f)) >= -_ESCAPE_TOL:  # also refuses NaN
+        return False
+    return prob.bc_kind is BCKind.NEUMANN or float(np.max(start.f)) <= 1.0 + _ESCAPE_TOL
+
+
+def _secant(a: _Evaluation, b: _Evaluation) -> float:
+    return (a[1] - b[1]) / (a[0] - b[0])
+
+
+def _chord_slope(best: _Evaluation, others: list[_Evaluation]) -> float:
+    """Secant slope through best and the nearest other point at least _SLOPE_SPAN max(1, lambda) away.
+
+    The last chord steps can lie so close together that the noise of g (the
+    inner solves stop at ``inner_tol``) swamps their secant.  When every
+    point is nearer, the farthest one sets the slope.
+    """
+    span = _SLOPE_SPAN * max(1.0, abs(best[0]))
+    distance = lambda e: abs(e[0] - best[0])
+    far = [e for e in others if distance(e) >= span]
+    return _secant(best, min(far, key=distance) if far else max(others, key=distance))
+
+
+def _search(
+    prob: DimensionlessProblem,
+    settings: SolverSettings,
+    cert: "ExistenceReport",
+    tol: float,
+    start: SearchStart | None,
+) -> tuple[_Evaluation, SearchStart, int]:
+    """The root on settings.n intervals: chord steps from a usable start, else the ITP over the bracket.
+
+    Returns the best evaluation, the root as a start for a neighbouring
+    problem, and the number of V evaluations.
+    """
+    best, steps = None, 0
+    if _usable(start, prob, settings.n):
+        g = _FrontResidual(prob, settings, start.f)
+        try:
+            lam = chord_root(g, start.lam, start.slope, *_search_interval(cert.bracket),
+                             ftol=tol, max_steps=_START_STEPS)
+        except MeltfrontError:
+            lam = None
+        steps = len(g.evaluated)
+        if lam is not None:
+            best = g.evaluated[-1]
+            slope = _chord_slope(best, g.evaluated[:-1]) if steps > 1 else start.slope
+    if best is None:
+        ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
+        best, slope = ranked[0], _secant(ranked[0], ranked[1])
+        steps += itp_steps
+    return best, SearchStart(prob.bc_kind, best[0], slope, best[2].profile.f), steps
+
+
 def _solve_from_coarse(
-    prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", tol: float
-) -> tuple[_Evaluation | None, int]:
-    """The fine root by chord steps from the DEFAULT_GRID_N root, or None; and the steps taken."""
+    prob: DimensionlessProblem,
+    settings: SolverSettings,
+    cert: "ExistenceReport",
+    tol: float,
+    start: SearchStart | None,
+) -> tuple[_Evaluation | None, SearchStart | None, int]:
+    """The fine root by chord steps from the DEFAULT_GRID_N root, or None; that root as a start; the steps taken."""
     coarse = replace(settings, n=DEFAULT_GRID_N)
     try:
-        ranked, steps = _solve_in_bracket(prob, coarse, cert, settings.outer_tol)
+        (lam_c, _, inner_c), found, steps = _search(prob, coarse, cert, settings.outer_tol, start)
     except MeltfrontError:
-        return None, 0
-    (lam_c, g_c, inner_c), (lam_2, g_2, _) = ranked[:2]
+        return None, None, 0
     warm = np.interp(np.linspace(0.0, 1.0, settings.n + 1), np.linspace(0.0, 1.0, coarse.n + 1), inner_c.profile.f)
     g = _FrontResidual(prob, settings, warm)
     try:
-        lam = chord_root(g, lam_c, (g_c - g_2) / (lam_c - lam_2), *_search_interval(cert.bracket),
-                         ftol=tol, max_steps=_CHORD_STEPS)
+        lam = chord_root(g, lam_c, found.slope, *_search_interval(cert.bracket), ftol=tol, max_steps=_CHORD_STEPS)
     except MeltfrontError:
         lam = None
     steps += len(g.evaluated)
-    return (None if lam is None else g.evaluated[-1]), steps
+    return (None if lam is None else g.evaluated[-1]), found, steps
 
 
 def _report(
-    prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", best: _Evaluation, steps: int
+    prob: DimensionlessProblem,
+    settings: SolverSettings,
+    cert: "ExistenceReport",
+    best: _Evaluation,
+    steps: int,
+    start: SearchStart | None,
 ) -> SolveReport:
     lam, g_best, inner = best
     profile = inner.profile
@@ -416,6 +536,7 @@ def _report(
         profile_max=float(np.max(profile.f)),
         existence=cert,
         settings=settings,
+        start=start,
     )
 
 

@@ -120,14 +120,16 @@ def chord_root(
 
     This is a local method: it has no bracket and converges only when x0 is
     close to a root and ``slope`` close to fn's slope there.  It gives up,
-    returning None, after ``max_steps`` steps, when a step would leave
-    [lo, hi], or when a step is needed and ``slope`` is zero or not finite.
-    A caller must therefore always have a bracketed search
-    (:func:`bisect_root`) to fall back on.  At most ``max_steps`` + 1 points
-    are evaluated, x0 first.
+    returning None, after ``max_steps`` steps, when x0 or a step would
+    leave [lo, hi] (x0 is then never evaluated), or when a step is needed
+    and ``slope`` is zero or not finite.  A caller must therefore always have
+    a bracketed search (:func:`bisect_root`) to fall back on.  At most
+    ``max_steps`` + 1 points are evaluated, x0 first.
     """
     usable = math.isfinite(slope) and slope != 0.0
     x = float(x0)
+    if not lo <= x <= hi:
+        return None
     for step in range(max_steps + 1):
         fx = float(fn(x))
         if abs(fx) <= ftol:

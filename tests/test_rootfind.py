@@ -6,7 +6,7 @@ import pytest
 import meltfront.fixed_point as fixed_point
 from meltfront import BCKind, BracketError, constant_problem, dirichlet_constant, neumann_constant, solve_lambda
 from meltfront.lambda_solver import bracket, v2_curve
-from meltfront.rootfind import bisect_root, sign_change_intervals
+from meltfront.rootfind import bisect_root, chord_root, sign_change_intervals
 
 
 def counted(fn):
@@ -192,6 +192,21 @@ def test_v2_curve_array_call_matches_scalar_calls(kind):
     assert type(v2_curve(prob, 0.5)) is float
     br = bracket(prob)
     assert abs(v2_curve(prob, br.lambda2) - br.lambda2) <= 1e-10
+
+
+@pytest.mark.parametrize("x0", [0.5 - 1e-12, 2.0 + 1e-12, -math.inf, math.inf, math.nan])
+def test_chord_root_never_evaluates_a_start_outside_its_interval(x0):
+    # x0 is a root, so evaluating it would return it
+    fn = counted(lambda x: 0.0)
+    assert chord_root(fn, x0, 1.0, 0.5, 2.0, ftol=1e-3, max_steps=4) is None
+    assert fn.calls == 0
+
+
+@pytest.mark.parametrize("x0", [0.5, 2.0])
+def test_chord_root_evaluates_a_start_on_its_interval_ends(x0):
+    fn = counted(lambda x: x - x0)
+    assert chord_root(fn, x0, 1.0, 0.5, 2.0, ftol=0.0, max_steps=4) == x0
+    assert fn.calls == 1
 
 
 def test_outer_solve_step_and_kernel_counts(linear_dirichlet, monkeypatch):
