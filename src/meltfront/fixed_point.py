@@ -52,7 +52,9 @@ class InnerResult:
     ``theoretical_rate`` is the matching contraction bound at lambda when it
     is defined and finite.  Radiative iterates are clamped to [0, 1] only
     when the admissibility hypotheses fail; ``escaped_unit_interval``
-    records whether any raw iterate actually left [0, 1].
+    records whether any raw iterate actually left [0, 1].  ``image`` holds
+    the node values of H(profile), the next Picard iterate (clipped to
+    [0, 1] where iterates are clamped; it sets neither flag).
     """
 
     profile: ProfileGrid
@@ -62,6 +64,7 @@ class InnerResult:
     contraction_observed: float | None
     theoretical_rate: float | None
     kernels: KernelEval
+    image: np.ndarray
     clamped: bool = False
     escaped_unit_interval: bool = False
 
@@ -95,7 +98,7 @@ def _operator_image(prob: DimensionlessProblem, profile: ProfileGrid) -> tuple[n
     else:
         g0 = _radiative_g0(prob, float(profile.f[0]))
         g = 1.0 - g0 * (phi_lam - Phi)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ConvergenceError("operator image contains non-finite values", lam=profile.lam)
     return g, ke
 
@@ -120,7 +123,10 @@ def solve_profile(
     The returned residual is measured on the returned profile itself (one
     extra operator application probes it), so a constant-coefficient problem,
     whose operator does not depend on f at all, converges in one iteration.
-    Non-convergence is reported through ``converged=False``, never silently.
+    A start whose own defect max|H(f0) - f0| already meets tol is returned
+    as it is, after that one operator application, with ``iterations=0``
+    and ``contraction_observed=None``.  Non-convergence is reported through
+    ``converged=False``, never silently.
     """
     if not (tol > 0.0 and max_iter >= 1):
         raise ConfigError("need tol > 0 and max_iter >= 1")
@@ -145,19 +151,20 @@ def solve_profile(
                 values = clipped
         return f0.with_values(values)
 
-    image, _ = _operator_image(prob, f0)
-    current = accept(image)
-    iterations = 1
+    # the start f0 is iteration 0: it is returned if its own defect meets tol
+    current, iterations = f0, 0
+    probe, kernels = _operator_image(prob, f0)
+    defect = np.empty_like(f0.f)
     prev_residual: float | None = None
     worst_ratio: float | None = None
 
     while True:
-        probe, kernels = _operator_image(prob, current)
-        residual = float(np.max(np.abs(probe - current.f)))
+        np.subtract(probe, current.f, out=defect)
+        residual = float(np.abs(defect, out=defect).max())
         if prev_residual is not None and prev_residual > 1e-13:
             ratio = residual / prev_residual
             worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
-        prev_residual = residual
+        prev_residual = residual if iterations else None
         if residual <= tol or iterations >= max_iter:
             rate = contraction_bound_or_inf(prob, lam)
             return InnerResult(
@@ -168,11 +175,13 @@ def solve_profile(
                 contraction_observed=worst_ratio,
                 theoretical_rate=rate if rate < math.inf else None,
                 kernels=kernels,
+                image=np.clip(probe, 0.0, 1.0) if clamp else probe,
                 clamped=did_clamp,
                 escaped_unit_interval=escaped,
             )
         current = accept(probe)
         iterations += 1
+        probe, kernels = _operator_image(prob, current)
 
 
 def contraction_bound(prob: DimensionlessProblem, z: float) -> float:

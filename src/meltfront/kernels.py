@@ -131,7 +131,9 @@ def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
     """Cumulative composite trapezoid of node values y on a uniform grid, starting at 0."""
     out = np.empty_like(y)
     out[0] = 0.0
-    np.cumsum(y[1:] + y[:-1], out=out[1:])
+    sums = out[1:]
+    np.add(y[1:], y[:-1], out=sums)
+    np.add.accumulate(sums, out=sums)
     out *= 0.5 * step
     return out
 
@@ -154,7 +156,7 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
     L = eval_coefficient(prob.L_star, f)
     N = eval_coefficient(prob.N_star, f)
     mu = eval_coefficient(prob.mu_star, f)
-    L_min, L_max, N_abs, mu_abs = map(float, (L.min(), L.max(), np.abs(N).max(), np.abs(mu).max()))
+    L_min, L_max, N_abs, mu_abs = map(float, (L.min(), L.max(), max(N.max(), -N.min()), max(mu.max(), -mu.min())))
     # an inf or NaN makes an extreme, and so their sum, non-finite; an
     # overflowing sum of finite extremes falls through to the exact test
     if not math.isfinite(L_min + L_max + N_abs + mu_abs):
@@ -182,8 +184,14 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
                 node=bad,
                 exponent=worst,
             )
-    E = np.exp(_cumulative_trapezoid((mu - xi * N) / L, 2.0 * step))
-    return KernelEval(E, _cumulative_trapezoid(E / L, step), profile, L, N, mu)
+    # E's exponent (mu - xi N) / L is built in one scratch array, which then holds E / L
+    scratch = np.multiply(xi, N)
+    np.subtract(mu, scratch, out=scratch)
+    np.divide(scratch, L, out=scratch)
+    E = _cumulative_trapezoid(scratch, 2.0 * step)
+    np.exp(E, out=E)
+    np.divide(E, L, out=scratch)
+    return KernelEval(E, _cumulative_trapezoid(scratch, step), profile, L, N, mu)
 
 
 @dataclass(frozen=True)

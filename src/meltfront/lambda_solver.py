@@ -30,8 +30,11 @@ grid itself.
 A sweep solves its cases in a row and starts each search from the root of
 the case before it (natural-parameter continuation; Allgower and Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003): chord steps from
-the neighbour's lambda, slope and profile replace the bracketed search on
-the search grid, which stays behind them as the fallback.
+the neighbour's lambda, slope, profile and tangent replace the bracketed
+search on the search grid, which stays behind them as the fallback.  Within
+one search each V evaluation continues the Picard sequence of the one
+before it, from its image and, on the chord paths, a predicted step along
+the tangent.
 """
 
 from __future__ import annotations
@@ -262,15 +265,18 @@ def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> flo
 class SearchStart:
     """A root found on the search grid, offered as the start of a neighbouring problem's search.
 
-    ``f`` holds the root's profile over the relative grid xi / ``lam``, and
+    ``f`` holds the root's profile over the relative grid xi / ``lam``,
     ``slope`` a secant slope of V - lambda through the root and another
-    evaluated point.
+    evaluated point, and ``tangent`` the secant of the two points' Picard
+    images (``InnerResult.image``) over the same lambdas, an estimate of
+    df/dlambda on the relative grid.
     """
 
     bc_kind: BCKind
     lam: float
     slope: float
     f: np.ndarray
+    tangent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -302,7 +308,10 @@ def solve_lambda(
 
     Below ``_CONTINUATION_N`` intervals the root is found by ITP over the
     bracket.  Each V evaluation re-solves the inner problem warm-started from
-    the previous profile.  Where the Picard map contracts, the inner fixed
+    the previous evaluation's Picard image, which continues that Picard
+    sequence; the chord paths below add a first-order prediction (see
+    ``_FrontResidual``), and a start that already meets ``inner_tol`` costs
+    one kernel evaluation.  Where the Picard map contracts, the inner fixed
     point is unique and the start only affects iteration counts; where
     contraction is not certified, the start can select which fixed point the
     iteration reaches, and so V(lambda).  If the bracket endpoints do not
@@ -313,20 +322,21 @@ def solve_lambda(
 
     From ``_CONTINUATION_N`` intervals that search runs at DEFAULT_GRID_N
     with ``outer_tol``.  The fine grid then starts from the coarse root and
-    profile (interpolated on xi / lambda) and takes up to ``_CHORD_STEPS``
-    chord steps, with the secant slope through the coarse search's two best
-    points (after chord steps from a start, see ``_chord_slope``), inside the
-    widened bracket.  The reported lambda is the first
-    fine point that meets the tolerance, and ``outer_iterations`` counts the
-    coarse ITP steps plus the fine V evaluations.  Should the chord not
-    converge or the coarse search raise, the ITP search runs at n instead, so
-    it decides every failure, and its steps are added to the count.
+    profile and tangent (both interpolated on xi / lambda) and takes up to
+    ``_CHORD_STEPS`` chord steps, with the secant slope through the coarse
+    search's two best points (after chord steps from a start, see
+    ``_chord_partner``), inside the widened bracket.  The reported lambda is
+    the first fine point that meets the tolerance, and ``outer_iterations``
+    counts the coarse ITP steps plus the fine V evaluations.  Should the
+    chord not converge or the coarse search raise, the ITP search runs at n
+    instead, so it decides every failure, and its steps are added to the
+    count.
 
     A ``start``, the ``SolveReport.start`` of a neighbouring problem (a sweep
     passes each case's to the next), replaces the ITP on the search grid
     (DEFAULT_GRID_N from ``_CONTINUATION_N`` up, else n) with up to
     ``_START_STEPS`` chord steps from its lambda and slope, warm-started from
-    its profile, inside the widened bracket and with the ITP's stop
+    its profile and tangent, inside the widened bracket and with the ITP's stop
     tolerance.  It is used only when it comes from the same kind of boundary
     condition and the same search grid, its lambda lies in the widened
     bracket and its profile in [0, 1] (Neumann: at or above 0), each up to
@@ -362,25 +372,48 @@ _Evaluation = tuple[float, float, InnerResult]
 
 
 class _FrontResidual:
-    """g(lambda) = V(lambda) - lambda on one grid, each inner solve warm-started from the last profile.
+    """g(lambda) = V(lambda) - lambda on one grid, each inner solve continuing the last one's Picard sequence.
 
-    ``warm`` holds node values over the relative grid xi / lambda, so they
-    start an inner solve at any lambda.  Every evaluation is kept in
-    ``evaluated``.
+    ``warm`` and ``tangent`` hold node values over the relative grid
+    xi / lambda, so they serve an inner solve at any lambda.  The first
+    solve starts from ``warm``; each later one from the last evaluation's
+    Picard image (``InnerResult.image``), plus (lambda - lambda_last) times
+    ``tangent`` when there is one and the sum stays in [0, 1] (Neumann: at
+    or above 0) up to ``_ESCAPE_TOL``.  A residual given a tangent renews it
+    from the images of its last two evaluations once they lie
+    ``_SLOPE_SPAN`` max(1, lambda) apart, the rule of ``_chord_partner``.
+    Every evaluation is kept in ``evaluated``.
     """
 
-    def __init__(self, prob: DimensionlessProblem, settings: SolverSettings, warm: np.ndarray | None = None):
+    def __init__(
+        self,
+        prob: DimensionlessProblem,
+        settings: SolverSettings,
+        warm: np.ndarray | None = None,
+        tangent: np.ndarray | None = None,
+    ):
         self.prob = prob
         self.settings = settings
         self.warm = warm
+        self.tangent = tangent
         self.evaluated: list[_Evaluation] = []
 
     def __call__(self, lam: float) -> float:
-        f0 = None if self.warm is None else ProfileGrid(lam, self.warm)
+        f0 = None if self.warm is None else ProfileGrid(lam, self._predicted(lam))
         value, inner = v_value(self.prob, lam, self.settings, f0=f0)
-        self.warm = inner.profile.f
+        if self.tangent is not None and self.evaluated:
+            last_lam, _, last = self.evaluated[-1]
+            if abs(lam - last_lam) >= _SLOPE_SPAN * max(1.0, lam):
+                self.tangent = (inner.image - last.image) / (lam - last_lam)
+        self.warm = inner.image
         self.evaluated.append((lam, value - lam, inner))
         return value - lam
+
+    def _predicted(self, lam: float) -> np.ndarray:
+        if self.tangent is None or not self.evaluated:
+            return self.warm
+        predicted = self.warm + (lam - self.evaluated[-1][0]) * self.tangent
+        return predicted if _admissible(predicted, self.prob.bc_kind) else self.warm
 
 
 def _search_interval(br: Bracket) -> tuple[float, float]:
@@ -439,26 +472,42 @@ def _usable(start: SearchStart | None, prob: DimensionlessProblem, n: int) -> bo
     """
     if start is None or start.bc_kind is not prob.bc_kind or start.f.size != n + 1:
         return False
-    if not float(np.min(start.f)) >= -_ESCAPE_TOL:  # also refuses NaN
+    return _admissible(start.f, prob.bc_kind)
+
+
+def _admissible(f: np.ndarray, kind: BCKind) -> bool:
+    """Whether f lies in [0, 1] (Neumann: at or above 0) up to ``_ESCAPE_TOL``; NaN never does."""
+    if not float(np.min(f)) >= -_ESCAPE_TOL:
         return False
-    return prob.bc_kind is BCKind.NEUMANN or float(np.max(start.f)) <= 1.0 + _ESCAPE_TOL
+    return kind is BCKind.NEUMANN or float(np.max(f)) <= 1.0 + _ESCAPE_TOL
 
 
 def _secant(a: _Evaluation, b: _Evaluation) -> float:
     return (a[1] - b[1]) / (a[0] - b[0])
 
 
-def _chord_slope(best: _Evaluation, others: list[_Evaluation]) -> float:
-    """Secant slope through best and the nearest other point at least _SLOPE_SPAN max(1, lambda) away.
+def _chord_partner(best: _Evaluation, others: list[_Evaluation]) -> _Evaluation:
+    """The nearest other point at least _SLOPE_SPAN max(1, lambda) away from best, else the farthest.
 
     The last chord steps can lie so close together that the noise of g (the
-    inner solves stop at ``inner_tol``) swamps their secant.  When every
-    point is nearer, the farthest one sets the slope.
+    inner solves stop at ``inner_tol``) swamps their secant.
     """
     span = _SLOPE_SPAN * max(1.0, abs(best[0]))
     distance = lambda e: abs(e[0] - best[0])
     far = [e for e in others if distance(e) >= span]
-    return _secant(best, min(far, key=distance) if far else max(others, key=distance))
+    return min(far, key=distance) if far else max(others, key=distance)
+
+
+def _chord_slope(best: _Evaluation, others: list[_Evaluation]) -> float:
+    """Secant slope of g through best and its ``_chord_partner``."""
+    return _secant(best, _chord_partner(best, others))
+
+
+def _handed_on(prob: DimensionlessProblem, best: _Evaluation, partner: _Evaluation) -> SearchStart:
+    """best as a start, with the secants of g and of the Picard images through best and partner."""
+    lam, _, inner = best
+    tangent = (inner.image - partner[2].image) / (lam - partner[0])
+    return SearchStart(prob.bc_kind, lam, _secant(best, partner), inner.profile.f, tangent)
 
 
 def _search(
@@ -473,9 +522,9 @@ def _search(
     Returns the best evaluation, the root as a start for a neighbouring
     problem, and the number of V evaluations.
     """
-    best, steps = None, 0
+    steps = 0
     if _usable(start, prob, settings.n):
-        g = _FrontResidual(prob, settings, start.f)
+        g = _FrontResidual(prob, settings, start.f, start.tangent)
         try:
             lam = chord_root(g, start.lam, start.slope, *_search_interval(cert.bracket),
                              ftol=tol, max_steps=_START_STEPS)
@@ -484,12 +533,11 @@ def _search(
         steps = len(g.evaluated)
         if lam is not None:
             best = g.evaluated[-1]
-            slope = _chord_slope(best, g.evaluated[:-1]) if steps > 1 else start.slope
-    if best is None:
-        ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
-        best, slope = ranked[0], _secant(ranked[0], ranked[1])
-        steps += itp_steps
-    return best, SearchStart(prob.bc_kind, best[0], slope, best[2].profile.f), steps
+            if steps == 1:  # the start's slope and tangent are handed on
+                return best, replace(start, lam=best[0], f=best[2].profile.f), steps
+            return best, _handed_on(prob, best, _chord_partner(best, g.evaluated[:-1])), steps
+    ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
+    return ranked[0], _handed_on(prob, ranked[0], ranked[1]), steps + itp_steps
 
 
 def _solve_from_coarse(
@@ -505,8 +553,9 @@ def _solve_from_coarse(
         (lam_c, _, inner_c), found, steps = _search(prob, coarse, cert, settings.outer_tol, start)
     except MeltfrontError:
         return None, None, 0
-    warm = np.interp(np.linspace(0.0, 1.0, settings.n + 1), np.linspace(0.0, 1.0, coarse.n + 1), inner_c.profile.f)
-    g = _FrontResidual(prob, settings, warm)
+    fine, grid_c = np.linspace(0.0, 1.0, settings.n + 1), np.linspace(0.0, 1.0, coarse.n + 1)
+    warm = np.interp(fine, grid_c, inner_c.profile.f)
+    g = _FrontResidual(prob, settings, warm, np.interp(fine, grid_c, found.tangent))
     try:
         lam = chord_root(g, lam_c, found.slope, *_search_interval(cert.bracket), ftol=tol, max_steps=_CHORD_STEPS)
     except MeltfrontError:

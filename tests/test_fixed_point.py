@@ -9,6 +9,7 @@ from meltfront import (
     certify,
     constant_problem,
     contraction_bound,
+    eval_kernels,
     linear_problem,
     solve_profile,
 )
@@ -206,6 +207,7 @@ def test_radiative_escape_is_flagged_and_clamped():
     assert res.escaped_unit_interval
     assert res.clamped
     assert np.all(res.profile.f >= 0.0) and np.all(res.profile.f <= 1.0)
+    assert np.all(res.image >= 0.0) and np.all(res.image <= 1.0)
     if not res.converged:
         assert res.residual > 1e-10
 
@@ -222,3 +224,35 @@ def test_start_profile_must_match_lambda(linear_dirichlet):
 
     with pytest.raises(ConfigError, match="lambda"):
         solve_profile(linear_dirichlet, 0.4, f0=ProfileGrid.linear(0.5, 64))
+
+
+def _picard_by_hand(prob, f0, tol):
+    """The Picard sequence from f0 as a plain loop: profile, iterations, residual and image of the first iterate within tol."""
+    current, iterations = apply_operator(prob, f0), 1
+    while True:
+        probe = apply_operator(prob, current)
+        residual = float(np.max(np.abs(probe.f - current.f)))
+        if residual <= tol:
+            return current, iterations, residual, probe.f
+        current, iterations = probe, iterations + 1
+
+
+def test_a_start_that_misses_tol_runs_the_whole_picard_sequence(linear_dirichlet):
+    f0 = ProfileGrid.linear(0.4, 256)
+    res = solve_profile(linear_dirichlet, 0.4, tol=1e-12, f0=f0)
+    profile, iterations, residual, image = _picard_by_hand(linear_dirichlet, f0, 1e-12)
+    assert iterations > 1
+    assert res.iterations == iterations and res.residual == residual
+    assert np.array_equal(res.profile.f, profile.f) and np.array_equal(res.image, image)
+
+
+def test_a_start_that_meets_tol_comes_back_as_itself(linear_dirichlet):
+    solved = solve_profile(linear_dirichlet, 0.4, tol=1e-12, n=256)
+    # the image of a converged profile carries less defect than the profile itself
+    start = solved.profile.with_values(solved.image)
+    res = solve_profile(linear_dirichlet, 0.4, tol=1e-12, f0=start)
+    assert res.converged and res.iterations == 0 and res.contraction_observed is None
+    assert res.profile is start and res.kernels.profile is start
+    assert np.array_equal(res.kernels.E, eval_kernels(start, linear_dirichlet).E)
+    assert np.array_equal(res.image, apply_operator(linear_dirichlet, start).f)
+    assert res.residual == float(np.max(np.abs(res.image - start.f))) <= 1e-12

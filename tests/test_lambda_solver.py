@@ -232,6 +232,55 @@ def test_fine_grid_spends_few_kernel_evaluations_on_its_own_nodes(linear_dirichl
     assert report.inner.profile is report.profile
 
 
+def test_a_tight_outer_tol_on_the_fine_grid_takes_few_fine_kernel_evaluations(linear_dirichlet, monkeypatch):
+    # each inner solve warm-started from the last returned profile took 137
+    nodes = _kernel_nodes(monkeypatch)
+    report = solve_lambda(linear_dirichlet, SolverSettings(n=16384, outer_tol=1e-12))
+    assert abs(report.lambda_tilde - 0.7276513078964547) <= 1e-15 * 0.7276513078964547
+    assert nodes.count(16385) <= 100
+
+
+def _inner_starts(monkeypatch) -> list:
+    """The start of every inner solve, in call order."""
+    starts, original = [], lambda_solver.solve_profile
+
+    def recording(prob, lam, **kwargs):
+        starts.append(kwargs["f0"])
+        return original(prob, lam, **kwargs)
+
+    monkeypatch.setattr(lambda_solver, "solve_profile", recording)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "kind, params", [(BCKind.DIRICHLET, {"Ste": 1.0}), (BCKind.NEUMANN, {"q_star": 0.5, "M": 1.0})]
+)
+def test_a_prediction_outside_the_unit_interval_starts_from_the_plain_image(monkeypatch, kind, params):
+    prob = linear_problem(kind, alpha=0.1, beta=0.1, Pe=0.5, **params)
+    settings = SolverSettings(n=64)
+    lam = solve_lambda(prob, settings).lambda_tilde
+    starts = _inner_starts(monkeypatch)
+    inside = np.zeros(65)
+    inside[1:-1] = 1e-3
+    neumann = kind is BCKind.NEUMANN
+    # (tangent, taken): Dirichlet images end at exactly 0 and 1, Neumann images at 0
+    for tangent, taken in [(inside, True), (np.full(65, 1e4), neumann), (np.full(65, -1e4), False)]:
+        warm = np.linspace(0.0, 1.0, 65)
+        g = lambda_solver._FrontResidual(prob, settings, warm, tangent)
+        g(lam)
+        g(lam * 1.001)
+        assert np.array_equal(starts[-2].f, warm)
+        image = g.evaluated[0][2].image
+        expected = image + (lam * 1.001 - lam) * tangent if taken else image
+        assert np.array_equal(starts[-1].f, expected)
+        # 1e-3 lam apart: the tangent is renewed from the two images; 1e-12 apart it is kept
+        renewed = (g.evaluated[1][2].image - image) / (lam * 1.001 - lam)
+        assert np.array_equal(g.tangent, renewed)
+        kept = g.tangent
+        g(lam * 1.001 + 1e-12)
+        assert g.tangent is kept
+
+
 @pytest.mark.parametrize("n", [64, DEFAULT_GRID_N, 1024, 2047])
 def test_grids_below_four_default_grids_are_solved_on_their_own_nodes(linear_dirichlet, monkeypatch, n):
     nodes = _kernel_nodes(monkeypatch)

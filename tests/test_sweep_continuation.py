@@ -56,15 +56,15 @@ def _run_sweep(tmp_path: Path, name: str, sweep: dict, grid: int | None) -> tupl
         return rc, list(csv.DictReader(fh)), data
 
 
-def _cold(row: dict, grid: int | None):
-    """The row's case solved alone, without a start."""
+def _cold(row: dict, grid: int | None, **tolerances):
+    """The row's case solved alone, without a start, with the config's settings or the given tolerances."""
     cfg = WORKLOADS.sweep_config()
     del cfg["sweep"]
     for name in PARAMS:
         if f"coefficients.{name}" in row:
             cfg["coefficients"][name] = float(row[f"coefficients.{name}"])
     problem = build_problem(cfg, grid)
-    return solve_lambda(problem.prob, problem.settings)
+    return solve_lambda(problem.prob, replace(problem.settings, **tolerances))
 
 
 def _recording_starts(monkeypatch) -> list:
@@ -156,6 +156,16 @@ def test_a_neumann_start_may_exceed_one_but_not_fall_below_zero():
     assert _same(solve_lambda(prob, settings, lowered), cold)
 
 
+def test_a_start_tangent_that_leaves_the_unit_interval_is_never_taken():
+    settings = SolverSettings()
+    prob = linear_problem(BCKind.DIRICHLET, alpha=0.2, beta=0.1, Pe=0.5, Ste=1.0)
+    neighbour = solve_lambda(linear_problem(BCKind.DIRICHLET, alpha=0.1, beta=0.1, Pe=0.5, Ste=1.0), settings).start
+    # a zero tangent predicts the plain image; so does one refused by the guard
+    flat = solve_lambda(prob, settings, replace(neighbour, tangent=np.zeros_like(neighbour.tangent)))
+    steep = solve_lambda(prob, settings, replace(neighbour, tangent=np.full_like(neighbour.tangent, 1e6)))
+    assert flat.outer_iterations > 1 and _same(steep, flat)
+
+
 def test_the_slope_handed_on_skips_partners_nearer_than_the_span():
     # g = 2.5 (0.6 - lambda), with 1e-12 of noise on the point 1e-9 away
     best = (0.6, 0.0, None)
@@ -196,10 +206,20 @@ def test_bench_sweep_through_the_cli_stays_within_the_reference_error(bench_swee
     assert max(errors) <= 1.51e-10
 
 
+def test_bench_sweep_rows_lie_within_3e_12_of_tightly_converged_roots(bench_sweep):
+    # warm-starting each inner solve from the last returned profile instead
+    # of its Picard image put rows up to 4.7e-12 away; the image, 5.8e-13
+    _, rows, _ = bench_sweep
+    for row in rows:
+        tight = _cold(row, WORKLOADS.SWEEP_GRID, inner_tol=1e-13, outer_tol=1e-11)
+        assert abs(float(row["lambda"]) - tight.lambda_tilde) <= 3e-12 * tight.lambda_tilde
+
+
 def test_bench_sweep_kernel_evaluations_per_grid(bench_sweep):
     # solved case by case: 1747 on the default grid and 281 on the fine one;
-    # starting each case from its neighbour's root took 948 and 255
+    # starting each case from its neighbour's root took 948 and 255, and
+    # starting each inner solve from the predicted Picard image 804 and 188
     _, _, nodes = bench_sweep
     assert set(nodes) == {DEFAULT_GRID_N + 1, WORKLOADS.SWEEP_GRID + 1}
-    assert nodes[DEFAULT_GRID_N + 1] <= 1050
-    assert nodes[WORKLOADS.SWEEP_GRID + 1] <= 281
+    assert nodes[DEFAULT_GRID_N + 1] <= 880
+    assert nodes[WORKLOADS.SWEEP_GRID + 1] <= 200
