@@ -13,7 +13,9 @@ explicitly.  The solution is self-similar in log t, so the step is
 dt = dy * t, which takes about n ln(t1/t0) steps.  Agreement with the
 similarity field and front over [t0, t1] is a consistency check of the whole
 pipeline, not an initial-value solver for t -> 0 (the similarity solution is
-singular there).
+singular there).  The steps only march: the marched fields are held in blocks
+of up to 65,536 values and compared with the similarity field one block at a
+time, with the same arithmetic per value as a comparison after each step.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .kernels import MAX_NODES
 from .reconstruct import PhysicalSolution, front_position
 
 __all__ = ["FrontFixedScheme", "PdeDiscrepancy", "verify"]
+
+# values per block of marched fields held for the drift comparison
+_BLOCK_VALUES = 65_536
 
 
 def dgtsv(dl, d, du, b, **kwargs):
@@ -51,6 +56,8 @@ class FrontFixedScheme:
             raise ConfigError(f"need at least 8 space intervals, got {self.nodes}")
         if not (self.t0 > 0.0 and self.t1 >= self.t0):
             raise ConfigError(f"need 0 < t0 <= t1, got t0={self.t0}, t1={self.t1}")
+        if not self.t1 < math.inf:
+            raise ConfigError(f"need a finite t1, got t1={self.t1}")
         if self.nodes > MAX_NODES:
             raise ConfigError(f"need at most {MAX_NODES} space intervals, got {self.nodes}")
 
@@ -91,6 +98,12 @@ def _face_temperature(bc: BoundaryCondition, model, T1, T2, T0_prev, dy, s, t):
     return T0
 
 
+def _similarity_T(sol: PhysicalSolution, y, s, t):
+    """Similarity temperature at the strip nodes y for front s at time t (scalars, or columns of a block)."""
+    xi = y * s / (2.0 * np.sqrt(sol.alpha0 * t))
+    return temperature_of_f(sol.bc, sol.f_at(xi))
+
+
 def verify(
     sol: PhysicalSolution,
     model: ThermalModel,
@@ -104,17 +117,13 @@ def verify(
     """
     n = scheme.nodes
     y = np.linspace(0.0, 1.0, n + 1)
+    y_in = y[1:-1]
     dy = 1.0 / n
 
     t = scheme.t0
     s = front_position(sol, t)
-    alpha0 = sol.alpha0
 
-    def similarity_T():
-        xi = y * s / (2.0 * math.sqrt(alpha0 * t))
-        return np.asarray(temperature_of_f(sol.bc, sol.f_at(xi)), dtype=float)
-
-    T = similarity_T()
+    T = _similarity_T(sol, y, s, t)
     T[-1] = bc.T_m
     amp = max(float(np.max(T) - np.min(T)), 1e-300)
     T_lo0, T_hi0 = float(np.min(T)), float(np.max(T))
@@ -131,10 +140,18 @@ def verify(
             f"[{np.min(T):.3g}, {np.max(T):.3g}] vs initial [{T_lo0:.3g}, {T_hi0:.3g}], s={s:.6g}"
         )
 
-    def T_drift():
-        return float(np.max(np.abs(T - similarity_T()))) / amp
+    # marched fields with their s and t, one row each, compared with the
+    # similarity field a block at a time
+    rows = max(1, _BLOCK_VALUES // (n + 1))
+    held, s_held, t_held = np.empty((rows, n + 1)), np.empty(rows), np.empty(rows)
+    held[0], s_held[0], t_held[0] = T, s, t
+    row = 1
+    drifts = []
 
-    T_rel_max = T_drift()
+    def compare():
+        sim = _similarity_T(sol, y, s_held[:row, None], t_held[:row, None])
+        drifts.extend((np.abs(held[:row] - sim).max(axis=1) / amp).tolist())
+
     # a blow-up overflows numpy arithmetic; the check after each step reports
     # it as the unstable error instead of as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -144,17 +161,18 @@ def verify(
             k = eval_coefficient(model.k, T)
             gam = eval_coefficient(model.rho_c, T)
             mu = eval_coefficient(model.mu, T)
-            if not all(np.isfinite(c).all() for c in (k, gam, mu)):
+            if not (np.isfinite(k).all() and np.isfinite(gam).all() and np.isfinite(mu).all()):
                 raise unstable()
 
             sdot = -k_front * (T[-1] - T[-2]) / (dy * s * rho_ell)
 
             # rows i = 1..n-1 of (1 - dt A) T_new = T_old, with A the centered
             # diffusion and advection operator frozen at the start of the step
+            gam_in = gam[1:-1]
             kp = 0.5 * (k[1:-1] + k[2:])
             km = 0.5 * (k[1:-1] + k[:-2])
-            diff = dt / (dy**2 * s**2 * gam[1:-1])
-            adv = dt * (y[1:-1] * sdot / s - mu[1:-1] / (gam[1:-1] * math.sqrt(t) * s)) / (2.0 * dy)
+            diff = dt / (dy**2 * s**2 * gam_in)
+            adv = dt * (y_in * sdot / s - mu[1:-1] / (gam_in * math.sqrt(t) * s)) / (2.0 * dy)
             lower = -diff * km + adv
             upper = -diff * kp - adv
             rhs = T[1:-1].copy()
@@ -173,17 +191,24 @@ def verify(
             T[0] = _face_temperature(bc, model, T[1], T[2], T0_prev, dy, s, t)
             steps += 1
 
-            if not np.all(np.isfinite(T)) or np.max(T) - np.min(T) > 10.0 * amp or not 0.0 < s < math.inf:
+            T_hi, T_lo = T.max(), T.min()
+            if not (np.isfinite(T_hi) and np.isfinite(T_lo)) or T_hi - T_lo > 10.0 * amp or not 0.0 < s < math.inf:
                 raise unstable()
 
-            s_rel = abs(s - front_position(sol, t)) / front_position(sol, t)
+            s_sim = front_position(sol, t)
+            s_rel = abs(s - s_sim) / s_sim
             s_rel_max = max(s_rel_max, s_rel)
-            T_rel_max = max(T_rel_max, T_drift())
+            if row == rows:
+                compare()
+                row = 0
+            held[row], s_held[row], t_held[row] = T, s, t
+            row += 1
+        compare()
 
     return PdeDiscrepancy(
         s_rel_max=s_rel_max,
         s_rel_final=s_rel,
-        T_rel_max=T_rel_max,
+        T_rel_max=max(drifts),
         steps=steps,
         t_final=t,
     )

@@ -4,10 +4,24 @@ nested-grid path of solve_lambda is compared against."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from meltfront import DEFAULT_GRID_N, BCKind, ProfileGrid, certify, lambda_solver, linear_problem
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's configs, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cumtrapz_ref(y: np.ndarray, x: np.ndarray) -> np.ndarray:

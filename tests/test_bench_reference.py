@@ -6,28 +6,16 @@ each sweep case; a change that flips a flag, or loses accuracy on the
 fine sweep grid, would otherwise only show when the benchmark runs.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from meltfront import DEFAULT_GRID_N, certify, solve_lambda
 from meltfront.cli import build_problem
 
-from conftest import full_bracket_lambda
+from conftest import BENCH, bench_workloads, full_bracket_lambda
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+WORKLOADS = bench_workloads()
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 PINNED = REFERENCE["solve"]
 
