@@ -112,17 +112,17 @@ def _read(block: dict, name: str, kind: type = float, default=_REQUIRED):
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _from_block(cls, cfg: dict, block_name: str, **overrides):
-    """``cls`` built from a config block whose keys are the fields of ``cls``.
+def _block_values(cls, cfg: dict, block_name: str) -> dict:
+    """The fields of ``cls`` from a config block whose keys are those fields.
 
     Each value is read as the type of its field's default; a missing key
-    keeps the default and ``overrides`` replace values read.
+    keeps the default.
     """
     block = _read(cfg, block_name, dict, {})
     defaults = {field.name: field.default for field in fields(cls)}
     _check_keys(block, defaults, f"{block_name} block")
-    values = {key: _read(block, f"{block_name}.{key}", type(defaults[key])) for key in defaults if key in block}
-    return cls(**{**values, **overrides})
+    return {key: _read(block, f"{block_name}.{key}", type(value)) if key in block else value
+            for key, value in defaults.items()}
 
 
 @dataclass
@@ -184,7 +184,7 @@ def build_problem(cfg: dict, grid_override: int | None = None) -> Problem:
     bc = _build_bc(cfg)
     model = _build_model(cfg, bc)
     grid = {} if grid_override is None else {"n": grid_override}
-    settings = _from_block(SolverSettings, cfg, "numerics", **grid)
+    settings = SolverSettings(**{**_block_values(SolverSettings, cfg, "numerics"), **grid})
     return Problem(model=model, bc=bc, prob=build_dimensionless(model, bc), settings=settings)
 
 
@@ -373,14 +373,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_pde(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg, args.grid)
-    scheme = _from_block(FrontFixedScheme, cfg, "pde")
-    # the similarity data at t0 and t1 need 0 < alpha0*t < inf, as in solve
+    pde = _block_values(FrontFixedScheme, cfg, "pde")
+    # the similarity data at t0 and t1 need 0 < alpha0*t < inf, as in solve;
+    # checked before the scheme's own checks, which do not know alpha0
     alpha0 = problem.model.alpha0
     for key in ("t0", "t1"):
-        t = getattr(scheme, key)
-        if not 0.0 < alpha0 * t < math.inf:
+        if not 0.0 < alpha0 * pde[key] < math.inf:
             raise ConfigError(f"pde.{key} must be positive with finite, non-zero alpha0*t "
-                              f"(alpha0 = {alpha0!r}), got {t!r}")
+                              f"(alpha0 = {alpha0!r}), got {pde[key]!r}")
+    scheme = FrontFixedScheme(**pde)
     outdir = _out_dir(cfg, args)
     report = None
     try:

@@ -19,22 +19,17 @@ met in practice it takes about 7 V evaluations instead of about 30.
 
 The outer search stops at |V - lambda| <= outer_tol (DEFAULT_GRID_N / n)^2
 on grids finer than DEFAULT_GRID_N: the trapezoid error in lambda falls as
-n^-2, and the stop rule keeps the same share of it at every n.  Grids of at
-least 4 DEFAULT_GRID_N intervals are solved by nested iteration (Brandt,
-Math. Comp. 31, 1977): the bracketed search runs at DEFAULT_GRID_N, where a
-V evaluation is cheap, and a few chord steps on the fine grid, warm-started
-from the coarse profile, take the last digits.  When the chord steps do not
-converge, or the coarse search fails, the bracketed search runs on the fine
-grid itself.
-
-A sweep solves its cases in a row and starts each search from the root of
-the case before it (natural-parameter continuation; Allgower and Georg,
-Introduction to Numerical Continuation Methods, SIAM 2003): chord steps from
-the neighbour's lambda, slope, profile and tangent replace the bracketed
-search on the search grid, which stays behind them as the fallback.  Within
-one search each V evaluation continues the Picard sequence of the one
-before it, from its image and, on the chord paths, a predicted step along
-the tangent.
+n^-2, and the stop rule keeps the same share of it at every n.  The search
+climbs a ladder of grids: DEFAULT_GRID_N, where a V evaluation is cheap,
+then n from 4 DEFAULT_GRID_N intervals up, else n alone.  Each rung takes
+chord steps from a prediction, with the bracketed search behind them.  The
+first rung's prediction is the root of a neighbouring problem when a sweep
+offers one (natural-parameter continuation; Allgower and Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003); each later
+rung's is the root of the rung below, interpolated on xi / lambda (nested
+iteration; Brandt, Math. Comp. 31, 1977).  Within one search each V
+evaluation continues the Picard sequence of the one before it, from its
+image and, on the chord steps, a predicted step along the tangent.
 """
 
 from __future__ import annotations
@@ -283,9 +278,9 @@ class SearchStart:
 class SolveReport:
     """Full outcome of one front-coefficient solve; bracket and bc kind are the certificate's.
 
-    ``start`` is the root on the search grid (DEFAULT_GRID_N intervals from
-    ``_CONTINUATION_N`` up, else the grid itself) as a start for a
-    neighbouring problem, or None when that search failed.
+    ``start`` is the root on the first grid of the search (DEFAULT_GRID_N
+    intervals from ``_CONTINUATION_N`` up, else the grid itself) as a start
+    for a neighbouring problem, or None when the search on that grid failed.
     """
 
     lambda_tilde: float
@@ -306,62 +301,84 @@ def solve_lambda(
 ) -> SolveReport:
     """Find lambda with |V(lambda) - lambda| <= outer_tol min(1, (DEFAULT_GRID_N / n)^2).
 
-    Below ``_CONTINUATION_N`` intervals the root is found by ITP over the
-    bracket.  Each V evaluation re-solves the inner problem warm-started from
-    the previous evaluation's Picard image, which continues that Picard
-    sequence; the chord paths below add a first-order prediction (see
+    The root is found on a ladder of grids: n itself below
+    ``_CONTINUATION_N`` intervals, else DEFAULT_GRID_N and then n (nested
+    iteration).  Each rung stops at outer_tol min(1, (DEFAULT_GRID_N /
+    rung)^2) and runs one search: chord steps from a prediction inside the
+    widened bracket, ending at the first point that meets the tolerance,
+    and the ITP over the bracket (see ``_solve_in_bracket``) when there is
+    no prediction or its chord does not converge; the ITP's root is its
+    evaluated point with the smallest |V - lambda|.  The reported lambda is
+    the last rung's root, with its own profile.
+
+    The first rung's prediction is ``start``, the ``SolveReport.start`` of a
+    neighbouring problem (a sweep passes each case's to the next), with up
+    to ``_START_STEPS`` chord steps.  It is used only when it comes from the
+    same kind of boundary condition and the same grid, its lambda lies in
+    the widened bracket and its profile in [0, 1] (Neumann: at or above 0),
+    each up to ``fixed_point._ESCAPE_TOL``; otherwise the solve is the one
+    without a start, bit for bit.  Each later rung's prediction is the root
+    the rung below handed on, its profile and tangent interpolated on
+    xi / lambda, with up to ``_CHORD_STEPS`` chord steps.  A rung below the
+    last that raises is dropped and the next one searches without a
+    prediction; the last rung's error propagates.
+
+    Each V evaluation re-solves the inner problem warm-started from the
+    previous evaluation's Picard image, which continues that Picard
+    sequence; chord steps add a first-order prediction (see
     ``_FrontResidual``), and a start that already meets ``inner_tol`` costs
     one kernel evaluation.  Where the Picard map contracts, the inner fixed
     point is unique and the start only affects iteration counts; where
     contraction is not certified, the start can select which fixed point the
-    iteration reaches, and so V(lambda).  If the bracket endpoints do not
-    show a sign change, the bracket is scanned at 64 points before giving
-    up.  The search otherwise stops when the bracket is narrower than
-    1e-15 max(1, lambda) or after 200 steps; the reported lambda is the
-    evaluated point with the smallest |V - lambda|, with its own profile.
+    iteration reaches, and so V(lambda).  The lambda found from a start can
+    differ from the one found without it by about the stop tolerance over
+    |V' - 1|.
 
-    From ``_CONTINUATION_N`` intervals that search runs at DEFAULT_GRID_N
-    with ``outer_tol``.  The fine grid then starts from the coarse root and
-    profile and tangent (both interpolated on xi / lambda) and takes up to
-    ``_CHORD_STEPS`` chord steps, with the secant slope through the coarse
-    search's two best points (after chord steps from a start, see
-    ``_chord_partner``), inside the widened bracket.  The reported lambda is
-    the first fine point that meets the tolerance, and ``outer_iterations``
-    counts the coarse ITP steps plus the fine V evaluations.  Should the
-    chord not converge or the coarse search raise, the ITP search runs at n
-    instead, so it decides every failure, and its steps are added to the
-    count.
-
-    A ``start``, the ``SolveReport.start`` of a neighbouring problem (a sweep
-    passes each case's to the next), replaces the ITP on the search grid
-    (DEFAULT_GRID_N from ``_CONTINUATION_N`` up, else n) with up to
-    ``_START_STEPS`` chord steps from its lambda and slope, warm-started from
-    its profile and tangent, inside the widened bracket and with the ITP's stop
-    tolerance.  It is used only when it comes from the same kind of boundary
-    condition and the same search grid, its lambda lies in the widened
-    bracket and its profile in [0, 1] (Neumann: at or above 0), each up to
-    ``fixed_point._ESCAPE_TOL``; otherwise the solve is the one without a
-    start, bit for bit.  When the chord gives up, the ITP runs as without a
-    start.  ``outer_iterations`` counts every V evaluation of the chord, the
-    first included.  The lambda found from a start can differ from the one
-    found without it by about the stop tolerance over |V' - 1|.
-
-    Certification reads no grid, so the one certificate serves both grids.
-    Any MeltfrontError raised after it is issued carries it as ``existence``.
+    ``outer_iterations`` sums, over the rungs that returned, every chord
+    evaluation (the first included) and every ITP step; the ITP's bracket
+    ends and scan points are not counted, nor is any V evaluation of a
+    dropped rung.  The report's ``start`` is the first rung's root, or None
+    when that rung was dropped.  Certification reads no grid, so the one
+    certificate serves every rung.  Any MeltfrontError raised after it is
+    issued carries it as ``existence``.
     """
     from .existence import certify  # deferred: existence builds on this module's bracket
 
     cert = certify(prob, settings)
-    tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / settings.n) ** 2)
+    grids = [settings.n] if settings.n < _CONTINUATION_N else [DEFAULT_GRID_N, settings.n]
+    kind = prob.bc_kind
+    if start is not None and not (start.bc_kind is kind and start.f.size == grids[0] + 1
+                                  and _admissible(start.f, kind)):
+        start = None
+    prediction, steps, handed_on = start, 0, {}
     try:
-        if settings.n < _CONTINUATION_N:
-            best, found, steps = _search(prob, settings, cert, tol, start)
-            return _report(prob, settings, cert, best, steps, found)
-        chorded, found, steps = _solve_from_coarse(prob, settings, cert, tol, start)
-        if chorded is not None:
-            return _report(prob, settings, cert, chorded, steps, found)
-        ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
-        return _report(prob, settings, cert, ranked[0], steps + itp_steps, found)
+        for n in grids:
+            tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / n) ** 2)
+            max_steps = _START_STEPS if n == grids[0] else _CHORD_STEPS
+            on_grid = None if prediction is None else _on_grid(prediction, n)
+            try:
+                best, found, rung_steps = _search(prob, replace(settings, n=n), cert, tol, on_grid, max_steps)
+            except MeltfrontError:
+                if n == grids[-1]:
+                    raise
+                prediction = None
+                continue
+            handed_on[n] = prediction = found
+            steps += rung_steps
+        lam, g_best, inner = best
+        return SolveReport(
+            lambda_tilde=lam,
+            profile=inner.profile,
+            inner=inner,
+            v_at_lambda=g_best + lam,
+            outer_residual=abs(g_best),
+            outer_iterations=steps,
+            front_flux_residual=front_flux_residual(prob, inner.profile),
+            profile_max=float(np.max(inner.profile.f)),
+            existence=cert,
+            settings=settings,
+            start=handed_on.get(grids[0]),
+        )
     except MeltfrontError as exc:
         exc.existence = cert
         raise
@@ -428,9 +445,12 @@ def _solve_in_bracket(
 ) -> tuple[list[_Evaluation], int]:
     """ITP over the widened bracket on settings.n intervals until |g| <= tol.
 
-    Returns the candidates for the reported lambda (the bracket ends and the
-    ITP steps), smallest |g| first and otherwise in evaluation order, and
-    the number of ITP steps.
+    When the bracket ends show no sign change, the bracket is first scanned
+    at 64 points.  The search otherwise stops when the bracket is narrower
+    than 1e-15 max(1, lambda) or after 200 steps.  Returns the candidates
+    for the reported lambda (the bracket ends and the ITP steps), smallest
+    |g| first and otherwise in evaluation order, and the number of ITP
+    steps.
     """
     br = cert.bracket
     lo, hi = _search_interval(br)
@@ -465,16 +485,6 @@ def _solve_in_bracket(
     return sorted(evaluated, key=lambda e: abs(e[1])), len(evaluated) - ends
 
 
-def _usable(start: SearchStart | None, prob: DimensionlessProblem, n: int) -> bool:
-    """Whether ``start`` may start a search on n intervals (see solve_lambda).
-
-    A start outside the search interval is refused by chord_root itself.
-    """
-    if start is None or start.bc_kind is not prob.bc_kind or start.f.size != n + 1:
-        return False
-    return _admissible(start.f, prob.bc_kind)
-
-
 def _admissible(f: np.ndarray, kind: BCKind) -> bool:
     """Whether f lies in [0, 1] (Neumann: at or above 0) up to ``_ESCAPE_TOL``; NaN never does."""
     if not float(np.min(f)) >= -_ESCAPE_TOL:
@@ -498,11 +508,6 @@ def _chord_partner(best: _Evaluation, others: list[_Evaluation]) -> _Evaluation:
     return min(far, key=distance) if far else max(others, key=distance)
 
 
-def _chord_slope(best: _Evaluation, others: list[_Evaluation]) -> float:
-    """Secant slope of g through best and its ``_chord_partner``."""
-    return _secant(best, _chord_partner(best, others))
-
-
 def _handed_on(prob: DimensionlessProblem, best: _Evaluation, partner: _Evaluation) -> SearchStart:
     """best as a start, with the secants of g and of the Picard images through best and partner."""
     lam, _, inner = best
@@ -510,83 +515,39 @@ def _handed_on(prob: DimensionlessProblem, best: _Evaluation, partner: _Evaluati
     return SearchStart(prob.bc_kind, lam, _secant(best, partner), inner.profile.f, tangent)
 
 
+def _on_grid(start: SearchStart, n: int) -> SearchStart:
+    """start with its profile and tangent interpolated on n intervals of xi / lambda."""
+    if start.f.size == n + 1:
+        return start
+    grid, own = np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, start.f.size)
+    return replace(start, f=np.interp(grid, own, start.f), tangent=np.interp(grid, own, start.tangent))
+
+
 def _search(
-    prob: DimensionlessProblem,
-    settings: SolverSettings,
-    cert: "ExistenceReport",
-    tol: float,
-    start: SearchStart | None,
+    prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", tol: float,
+    prediction: SearchStart | None, max_steps: int,
 ) -> tuple[_Evaluation, SearchStart, int]:
-    """The root on settings.n intervals: chord steps from a usable start, else the ITP over the bracket.
+    """The root on settings.n intervals: up to max_steps chord steps from a prediction, else the ITP over the bracket.
 
     Returns the best evaluation, the root as a start for a neighbouring
-    problem, and the number of V evaluations.
+    problem or a finer grid, and the number of V evaluations.
     """
     steps = 0
-    if _usable(start, prob, settings.n):
-        g = _FrontResidual(prob, settings, start.f, start.tangent)
+    if prediction is not None:
+        g = _FrontResidual(prob, settings, prediction.f, prediction.tangent)
         try:
-            lam = chord_root(g, start.lam, start.slope, *_search_interval(cert.bracket),
-                             ftol=tol, max_steps=_START_STEPS)
+            lam = chord_root(g, prediction.lam, prediction.slope, *_search_interval(cert.bracket),
+                             ftol=tol, max_steps=max_steps)
         except MeltfrontError:
             lam = None
         steps = len(g.evaluated)
         if lam is not None:
             best = g.evaluated[-1]
-            if steps == 1:  # the start's slope and tangent are handed on
-                return best, replace(start, lam=best[0], f=best[2].profile.f), steps
+            if steps == 1:  # the prediction's slope and tangent are handed on
+                return best, replace(prediction, lam=best[0], f=best[2].profile.f), steps
             return best, _handed_on(prob, best, _chord_partner(best, g.evaluated[:-1])), steps
     ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
     return ranked[0], _handed_on(prob, ranked[0], ranked[1]), steps + itp_steps
-
-
-def _solve_from_coarse(
-    prob: DimensionlessProblem,
-    settings: SolverSettings,
-    cert: "ExistenceReport",
-    tol: float,
-    start: SearchStart | None,
-) -> tuple[_Evaluation | None, SearchStart | None, int]:
-    """The fine root by chord steps from the DEFAULT_GRID_N root, or None; that root as a start; the steps taken."""
-    coarse = replace(settings, n=DEFAULT_GRID_N)
-    try:
-        (lam_c, _, inner_c), found, steps = _search(prob, coarse, cert, settings.outer_tol, start)
-    except MeltfrontError:
-        return None, None, 0
-    fine, grid_c = np.linspace(0.0, 1.0, settings.n + 1), np.linspace(0.0, 1.0, coarse.n + 1)
-    warm = np.interp(fine, grid_c, inner_c.profile.f)
-    g = _FrontResidual(prob, settings, warm, np.interp(fine, grid_c, found.tangent))
-    try:
-        lam = chord_root(g, lam_c, found.slope, *_search_interval(cert.bracket), ftol=tol, max_steps=_CHORD_STEPS)
-    except MeltfrontError:
-        lam = None
-    steps += len(g.evaluated)
-    return (None if lam is None else g.evaluated[-1]), found, steps
-
-
-def _report(
-    prob: DimensionlessProblem,
-    settings: SolverSettings,
-    cert: "ExistenceReport",
-    best: _Evaluation,
-    steps: int,
-    start: SearchStart | None,
-) -> SolveReport:
-    lam, g_best, inner = best
-    profile = inner.profile
-    return SolveReport(
-        lambda_tilde=lam,
-        profile=profile,
-        inner=inner,
-        v_at_lambda=g_best + lam,
-        outer_residual=abs(g_best),
-        outer_iterations=steps,
-        front_flux_residual=front_flux_residual(prob, profile),
-        profile_max=float(np.max(profile.f)),
-        existence=cert,
-        settings=settings,
-        start=start,
-    )
 
 
 def report_as_dict(report: SolveReport) -> dict:

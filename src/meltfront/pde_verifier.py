@@ -21,6 +21,7 @@ time, with the same arithmetic per value as a comparison after each step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,10 @@ class FrontFixedScheme:
     def __post_init__(self):
         if self.nodes < 8:
             raise ConfigError(f"need at least 8 space intervals, got {self.nodes}")
-        if not (self.t0 > 0.0 and self.t1 >= self.t0):
-            raise ConfigError(f"need 0 < t0 <= t1, got t0={self.t0}, t1={self.t1}")
+        # from a subnormal t0 the first step dt = dy * t0 rounds to 0 or a few ulps
+        if not sys.float_info.min <= self.t0 <= self.t1:
+            raise ConfigError(f"need {sys.float_info.min!r} <= t0 <= t1 (t0 a normal float), "
+                              f"got t0={self.t0}, t1={self.t1}")
         if not self.t1 < math.inf:
             raise ConfigError(f"need a finite t1, got t1={self.t1}")
         if self.nodes > MAX_NODES:

@@ -189,6 +189,23 @@ def test_unreadable_config_values_exit_3(tmp_path, monkeypatch, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("k0", [1.0, 1e10, 1e300])
+@pytest.mark.parametrize("t0", [5e-324, 1e-320, 1e-310, 3e-308])
+def test_a_subnormal_pde_t0_is_a_config_error(tmp_path, capsys, t0, k0):
+    # 0 < alpha0*t0 < inf holds for each, but from a subnormal t0 the first
+    # step dt = dy * t0 rounds to 0 or a few ulps and the march formed 0/0
+    reference = {"k0": k0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}
+    cfg = write_config(tmp_path / "cfg.json", reference=reference, pde={"nodes": 40, "t0": t0, "t1": 6e-308})
+    out = tmp_path / "out"
+    rc = main(["verify-pde", "--config", str(cfg), "--out", str(out), "--quiet"])
+    if t0 >= sys.float_info.min:
+        assert rc == 0 and (out / "verify.json").exists()
+        return
+    assert rc == 3
+    assert f"(t0 a normal float), got t0={t0}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "n, nx",
     [(64.0, 3.0), ("64.0", "3.0"), ("64", "3"), ("6.4e1", "3e0")],

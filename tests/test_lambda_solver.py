@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,6 +337,76 @@ def test_a_fine_evaluation_that_raises_falls_back_to_the_bracketed_search(linear
     assert len(raised) == 1
     monkeypatch.undo()
     assert report.lambda_tilde == full_bracket_lambda(linear_dirichlet, settings)
+
+
+def _start(name: str, prob):
+    """A start for prob's search on DEFAULT_GRID_N intervals: its own root, a neighbour's, or a refused one."""
+    if name is None:
+        return None
+    own = solve_lambda(prob).start
+    return {
+        "own": own,
+        "neighbour": solve_lambda(linear_problem(BCKind.DIRICHLET, alpha=0.2, beta=0.1, Pe=0.5, Ste=1.0)).start,
+        "robin": solve_lambda(linear_problem(BCKind.ROBIN, alpha=0.1, beta=0.1, Pe=0.5, Ste=1.0, Bi=0.7)).start,
+        "n=1024": solve_lambda(prob, SolverSettings(n=1024)).start,
+        "lifted": replace(own, f=own.f * (1.0 + 1e-8)),
+    }[name]
+
+
+def _negated_chord_slope(monkeypatch):
+    # a slope of the wrong sign walks away from the root
+    original = lambda_solver.chord_root
+    monkeypatch.setattr(lambda_solver, "chord_root",
+                        lambda fn, x0, slope, lo, hi, **kwargs: original(fn, x0, -slope, lo, hi, **kwargs))
+
+
+def _raising_coarse_itp(monkeypatch):
+    original = lambda_solver._solve_in_bracket
+
+    def failing_coarse(prob, grid_settings, cert, tol):
+        if grid_settings.n == DEFAULT_GRID_N:
+            raise ConvergenceError("coarse search failed", lam=None)
+        return original(prob, grid_settings, cert, tol)
+
+    monkeypatch.setattr(lambda_solver, "_solve_in_bracket", failing_coarse)
+
+
+COARSE_ROOT = ("0x1.748eb9839ddc1p-1", "-0x1.2b801b6175539p+1")
+
+
+# (n, start, patches, lambda_tilde.hex(), outer_iterations, (start.lam.hex(), start.slope.hex()) or None)
+SEARCH_PATHS = {
+    "a-cold": (DEFAULT_GRID_N, None, [], COARSE_ROOT[0], 7, COARSE_ROOT),
+    # the slope and tangent a one-step chord took are handed on unchanged
+    "b-own-start": (DEFAULT_GRID_N, "own", [], COARSE_ROOT[0], 1, COARSE_ROOT),
+    "c-neighbour-start": (DEFAULT_GRID_N, "neighbour", [], "0x1.748eb9838c133p-1", 5,
+                          ("0x1.748eb9838c133p-1", "-0x1.2b7f73624fbdfp+1")),
+    "d-refused-bc-kind": (DEFAULT_GRID_N, "robin", [], COARSE_ROOT[0], 7, COARSE_ROOT),
+    "d-refused-grid": (DEFAULT_GRID_N, "n=1024", [], COARSE_ROOT[0], 7, COARSE_ROOT),
+    "d-refused-profile": (DEFAULT_GRID_N, "lifted", [], COARSE_ROOT[0], 7, COARSE_ROOT),
+    # 7 coarse ITP steps and 2 fine chord evaluations
+    "e-fine-chord": (4096, None, [], "0x1.748eb660921adp-1", 9, COARSE_ROOT),
+    # 7 coarse ITP steps, 5 fine chord evaluations and 7 fine ITP steps
+    "f-fine-itp": (4096, None, [_negated_chord_slope], "0x1.748eb6609045fp-1", 19, COARSE_ROOT),
+    # the coarse grid raises: only the 7 fine ITP steps count
+    "g-coarse-raises": (4096, None, [_raising_coarse_itp], "0x1.748eb6609045fp-1", 7, None),
+    # the coarse chord from the neighbour fails and its ITP raises: its steps are dropped too
+    "g-coarse-raises-after-chord": (4096, "neighbour", [_negated_chord_slope, _raising_coarse_itp],
+                                    "0x1.748eb6609045fp-1", 7, None),
+}
+
+
+@pytest.mark.parametrize("path", SEARCH_PATHS)
+def test_each_search_path_pins_its_root_count_and_start(linear_dirichlet, monkeypatch, path):
+    n, start_name, patches, lam_hex, steps, handed_on = SEARCH_PATHS[path]
+    start = _start(start_name, linear_dirichlet)
+    for patch in patches:
+        patch(monkeypatch)
+    report = solve_lambda(linear_dirichlet, SolverSettings(n=n), start)
+    assert report.lambda_tilde.hex() == lam_hex
+    assert report.outer_iterations == steps
+    found = None if report.start is None else (report.start.lam.hex(), report.start.slope.hex())
+    assert found == handed_on
 
 
 @pytest.mark.parametrize("kind, params", [(BCKind.DIRICHLET, {}), (BCKind.ROBIN, {"Bi": 0.7})])

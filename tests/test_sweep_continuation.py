@@ -170,10 +170,11 @@ def test_the_slope_handed_on_skips_partners_nearer_than_the_span():
     # g = 2.5 (0.6 - lambda), with 1e-12 of noise on the point 1e-9 away
     best = (0.6, 0.0, None)
     near, mid, far = (0.6 + 1e-9, -2.5e-9 + 1e-12, None), (0.6 + 1e-6, -2.5e-6, None), (0.5, 0.25, None)
-    assert lambda_solver._chord_slope(best, [far, mid, near]) == lambda_solver._secant(best, mid)
-    assert lambda_solver._chord_slope(best, [near]) == lambda_solver._secant(best, near)
+    secant, partner = lambda_solver._secant, lambda_solver._chord_partner
+    assert secant(best, partner(best, [far, mid, near])) == secant(best, mid)
+    assert secant(best, partner(best, [near])) == secant(best, near)
     tiny = (0.6 - 1e-10, 2.5e-10, None)
-    assert lambda_solver._chord_slope(best, [near, tiny]) == lambda_solver._secant(best, near)
+    assert secant(best, partner(best, [near, tiny])) == secant(best, near)
 
 
 @pytest.fixture(scope="module")
