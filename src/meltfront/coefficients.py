@@ -111,6 +111,8 @@ class ThermalModel:
     c0: float
     ell: float
     family: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (theta, L, N, rho0*c0, mu scale) of a linear_model: its k, rho_c and mu are built from them
+    _affine: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_reference(self.k0, self.rho0, self.c0, self.ell)
@@ -118,6 +120,29 @@ class ThermalModel:
     @property
     def alpha0(self) -> float:
         return self.k0 / (self.rho0 * self.c0)
+
+    def coefficients_into(self, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write k, rho*c and mu at the temperatures T into out[0], out[1] and out[2]; return out.
+
+        A :func:`linear_model` computes theta(T) and N(theta) once and scales
+        them, with the arithmetic of its own k, rho_c and mu, so every value
+        is theirs to the bit.  Any other model (a ``dataclasses.replace``
+        copy of one included) calls k, rho_c and mu through
+        :func:`eval_coefficient`.
+        """
+        if self._affine is None:
+            for row, fn in zip(out, (self.k, self.rho_c, self.mu)):
+                row[...] = eval_coefficient(fn, T)
+            return out
+        theta, L, N, gamma0, nu0 = self._affine
+        k, gam, mu = out
+        theta(T, out=k)
+        N(k, out=gam)
+        L(k, out=k)
+        np.multiply(self.k0, k, out=k)
+        np.multiply(nu0, gam, out=mu)
+        np.multiply(gamma0, gam, out=gam)
+        return out
 
 
 def _check_positive(name: str, v: float) -> None:
@@ -143,14 +168,16 @@ def _linear_family(alpha: float, beta: float, Pe: float, theta0: float = 0.0, th
     Returns one ``(function, (min, max, Lipschitz))`` pair for each of L, N
     and mu.  Each function is evaluated as c0 + c1 u, whose rounded values on
     u in [0, 1] lie between those at the ends, so the triples (the two end
-    values and |c1|) are exact on [0, 1].  The defaults give theta = u.
+    values and |c1|) are exact on [0, 1].  The defaults give theta = u.  L
+    and N take an optional ``out`` array for their result, which may be u.
     """
     if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
         raise ConfigError("alpha, beta and Pe must be non-negative")
 
     def affine(slope: float):
         c0, c1 = 1.0 + slope * theta0, slope * theta1
-        return (lambda u: c0 + c1 * np.asarray(u, dtype=float)), (min(c0, c0 + c1), max(c0, c0 + c1), abs(c1))
+        fn = lambda u, out=None: np.add(c0, np.multiply(c1, np.asarray(u, dtype=float), out=out), out=out)
+        return fn, (min(c0, c0 + c1), max(c0, c0 + c1), abs(c1))
 
     N, N_bounds = affine(float(alpha))
     mu = lambda u: Pe * N(u)
@@ -191,11 +218,15 @@ def linear_model(
         raise ConfigError(f"linear family requires T_star > T_m, got T_star={T_star}, T_m={T_m}")
     gamma0 = rho0 * c0
     nu0 = gamma0 * math.sqrt(k0 / gamma0) * Pe
-    theta = lambda T: (np.asarray(T, dtype=float) - T_star) / (T_m - T_star)
+
+    def theta(T, out=None):
+        return np.divide(np.subtract(np.asarray(T, dtype=float), T_star, out=out), T_m - T_star, out=out)
+
     model = ThermalModel(
         lambda T: k0 * L(theta(T)), lambda T: gamma0 * N(theta(T)), lambda T: nu0 * N(theta(T)), k0, rho0, c0, ell
     )
     object.__setattr__(model, "family", (alpha, beta, Pe, T_star, T_m))
+    object.__setattr__(model, "_affine", (theta, L, N, gamma0, nu0))
     return model
 
 

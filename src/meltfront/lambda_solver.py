@@ -356,8 +356,12 @@ def solve_lambda(
             tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / n) ** 2)
             max_steps = _START_STEPS if n == grids[0] else _CHORD_STEPS
             on_grid = None if prediction is None else _on_grid(prediction, n)
+            # a rung's root is read as a start by the rung above it and, for the first rung, by the report
+            hand_on = n == grids[0] or n != grids[-1]
             try:
-                best, found, rung_steps = _search(prob, replace(settings, n=n), cert, tol, on_grid, max_steps)
+                best, found, rung_steps = _search(
+                    prob, replace(settings, n=n), cert, tol, on_grid, max_steps, hand_on
+                )
             except MeltfrontError:
                 if n == grids[-1]:
                     raise
@@ -525,12 +529,13 @@ def _on_grid(start: SearchStart, n: int) -> SearchStart:
 
 def _search(
     prob: DimensionlessProblem, settings: SolverSettings, cert: "ExistenceReport", tol: float,
-    prediction: SearchStart | None, max_steps: int,
-) -> tuple[_Evaluation, SearchStart, int]:
+    prediction: SearchStart | None, max_steps: int, hand_on: bool,
+) -> tuple[_Evaluation, SearchStart | None, int]:
     """The root on settings.n intervals: up to max_steps chord steps from a prediction, else the ITP over the bracket.
 
     Returns the best evaluation, the root as a start for a neighbouring
-    problem or a finer grid, and the number of V evaluations.
+    problem or a finer grid (None unless ``hand_on``), and the number of V
+    evaluations.
     """
     steps = 0
     if prediction is not None:
@@ -543,11 +548,13 @@ def _search(
         steps = len(g.evaluated)
         if lam is not None:
             best = g.evaluated[-1]
+            if not hand_on:
+                return best, None, steps
             if steps == 1:  # the prediction's slope and tangent are handed on
                 return best, replace(prediction, lam=best[0], f=best[2].profile.f), steps
             return best, _handed_on(prob, best, _chord_partner(best, g.evaluated[:-1])), steps
     ranked, itp_steps = _solve_in_bracket(prob, settings, cert, tol)
-    return ranked[0], _handed_on(prob, ranked[0], ranked[1]), steps + itp_steps
+    return ranked[0], _handed_on(prob, ranked[0], ranked[1]) if hand_on else None, steps + itp_steps
 
 
 def report_as_dict(report: SolveReport) -> dict:

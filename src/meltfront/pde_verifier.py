@@ -13,9 +13,14 @@ explicitly.  The solution is self-similar in log t, so the step is
 dt = dy * t, which takes about n ln(t1/t0) steps.  Agreement with the
 similarity field and front over [t0, t1] is a consistency check of the whole
 pipeline, not an initial-value solver for t -> 0 (the similarity solution is
-singular there).  The steps only march: the marched fields are held in blocks
-of up to 65,536 values and compared with the similarity field one block at a
-time, with the same arithmetic per value as a comparison after each step.
+singular there).  A step allocates nothing: k, rho*c and mu are written into
+one buffer by ``ThermalModel.coefficients_into`` (one theta(T) for a linear
+family), and the half-node conductivities and the rows of the system are
+filled in place, in the operation order of the formulas.  The steps only
+march: the marched fields are held in blocks of up to 8,192 values, so that
+each temporary of the comparison stays under 128 KiB, and compared with the
+similarity field one block at a time, with the same arithmetic per value as
+a comparison after each step.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .reconstruct import PhysicalSolution, front_position
 __all__ = ["FrontFixedScheme", "PdeDiscrepancy", "verify"]
 
 # values per block of marched fields held for the drift comparison
-_BLOCK_VALUES = 65_536
+_BLOCK_VALUES = 8_192
 
 
 def dgtsv(dl, d, du, b, **kwargs):
@@ -143,6 +148,15 @@ def verify(
             f"[{np.min(T):.3g}, {np.max(T):.3g}] vs initial [{T_lo0:.3g}, {T_hi0:.3g}], s={s:.6g}"
         )
 
+    # step buffers, filled in place: k, rho*c and mu at the nodes, k at the
+    # half nodes (kh[i] between nodes i and i+1) and the interior rows
+    coefs = np.empty((3, n + 1))
+    k, gam, mu = coefs
+    gam_in, mu_in = gam[1:-1], mu[1:-1]
+    kh = np.empty(n)
+    kp, km = kh[1:], kh[:-1]
+    diff, adv, lower, upper, diag, rhs = np.empty((6, n - 1))
+
     # marched fields with their s and t, one row each, compared with the
     # similarity field a block at a time
     rows = max(1, _BLOCK_VALUES // (n + 1))
@@ -161,28 +175,44 @@ def verify(
         while t < scheme.t1 - 1e-15 * scheme.t1:
             dt = min(dy * t, scheme.t1 - t)
 
-            k = eval_coefficient(model.k, T)
-            gam = eval_coefficient(model.rho_c, T)
-            mu = eval_coefficient(model.mu, T)
-            if not (np.isfinite(k).all() and np.isfinite(gam).all() and np.isfinite(mu).all()):
+            model.coefficients_into(T, coefs)
+            if not np.isfinite(coefs).all():
                 raise unstable()
 
+            # T[-1] - T[-2] stays a numpy scalar: a zero divisor then gives an
+            # infinite front speed, which the check after the step reports
             sdot = -k_front * (T[-1] - T[-2]) / (dy * s * rho_ell)
 
             # rows i = 1..n-1 of (1 - dt A) T_new = T_old, with A the centered
-            # diffusion and advection operator frozen at the start of the step
-            gam_in = gam[1:-1]
-            kp = 0.5 * (k[1:-1] + k[2:])
-            km = 0.5 * (k[1:-1] + k[:-2])
-            diff = dt / (dy**2 * s**2 * gam_in)
-            adv = dt * (y_in * sdot / s - mu[1:-1] / (gam_in * math.sqrt(t) * s)) / (2.0 * dy)
-            lower = -diff * km + adv
-            upper = -diff * kp - adv
-            rhs = T[1:-1].copy()
+            # diffusion and advection operator frozen at the start of the step:
+            # diff = dt / (dy^2 s^2 gam), adv = dt (y sdot / s - mu / (gam sqrt(t) s)) / (2 dy),
+            # lower = adv - diff km, upper = -(diff kp) - adv, diag = 1 + diff (kp + km)
+            # (upper is negated before adv is subtracted, so even a zero keeps its sign)
+            np.add(k[:-1], k[1:], out=kh)
+            kh *= 0.5
+            np.multiply(gam_in, dy**2 * s**2, out=diff)
+            np.divide(dt, diff, out=diff)
+            np.multiply(gam_in, math.sqrt(t), out=adv)
+            adv *= s
+            np.divide(mu_in, adv, out=adv)
+            np.multiply(y_in, sdot, out=lower)
+            lower /= s
+            np.subtract(lower, adv, out=adv)
+            adv *= dt
+            adv /= 2.0 * dy
+            np.multiply(diff, km, out=lower)
+            np.subtract(adv, lower, out=lower)
+            np.multiply(diff, kp, out=upper)
+            np.negative(upper, out=upper)
+            upper -= adv
+            np.add(kp, km, out=diag)
+            diag *= diff
+            diag += 1.0
+            rhs[:] = T[1:-1]
             rhs[0] -= lower[0] * T[0]
             rhs[-1] -= upper[-1] * T[-1]
             # LAPACK's tridiagonal solve; info > 0 flags a singular system
-            T_new, info = dgtsv(lower[1:], 1.0 + diff * (kp + km), upper[:-1], rhs, overwrite_b=True)[3:]
+            T_new, info = dgtsv(lower[1:], diag, upper[:-1], rhs, overwrite_b=True)[3:]
             if info != 0:
                 raise unstable()
 
@@ -194,8 +224,8 @@ def verify(
             T[0] = _face_temperature(bc, model, T[1], T[2], T0_prev, dy, s, t)
             steps += 1
 
-            T_hi, T_lo = T.max(), T.min()
-            if not (np.isfinite(T_hi) and np.isfinite(T_lo)) or T_hi - T_lo > 10.0 * amp or not 0.0 < s < math.inf:
+            T_hi, T_lo = float(T.max()), float(T.min())
+            if not (math.isfinite(T_hi) and math.isfinite(T_lo)) or T_hi - T_lo > 10.0 * amp or not 0.0 < s < math.inf:
                 raise unstable()
 
             s_sim = front_position(sol, t)
@@ -209,9 +239,9 @@ def verify(
         compare()
 
     return PdeDiscrepancy(
-        s_rel_max=s_rel_max,
-        s_rel_final=s_rel,
+        s_rel_max=float(s_rel_max),
+        s_rel_final=float(s_rel),
         T_rel_max=max(drifts),
         steps=steps,
-        t_final=t,
+        t_final=float(t),
     )

@@ -25,7 +25,7 @@ from meltfront import (
     table_model,
     table_model_from_csv,
 )
-from meltfront.coefficients import temperature_of_f
+from meltfront.coefficients import eval_coefficient, temperature_of_f
 
 F_SAMPLES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -235,6 +235,19 @@ def test_a_copy_with_other_coefficients_records_no_family_and_is_composed():
     assert_bounds_hold(prob, np.linspace(0.0, 1.0, 100_001))
     assert certify(prob).basis == "sampled"
 
+
+@pytest.mark.parametrize(
+    "alpha, beta, Pe, T_star, T_m", [(0.0, 0.0, 0.5, 1.0, 0.0), (0.3, 0.2, 0.7, 2.0, 1.0), (2.5, 0.1, 0.0, -1.0, -3.5)]
+)
+def test_coefficients_into_writes_the_model_coefficients_bit_for_bit(alpha, beta, Pe, T_star, T_m):
+    # the family's one theta and one N per call, and a copy's three callables
+    model = linear_model(3.0, 2.0, 5.0, 7.0, alpha, beta, Pe, T_star, T_m)
+    T = np.linspace(T_m - 1.0, T_star + 1.0, 301)
+    for m in (model, replace(model)):
+        out = np.empty((3, T.size))
+        assert m.coefficients_into(T, out) is out
+        for row, fn in zip(out, (model.k, model.rho_c, model.mu)):
+            assert row.tobytes() == eval_coefficient(fn, T).tobytes()
 
 def test_robin_zero_h_gives_zero_biot():
     model = constant_model(1.0, 1.0, 1.0, 1.0)

@@ -409,6 +409,17 @@ def test_each_search_path_pins_its_root_count_and_start(linear_dirichlet, monkey
     assert found == handed_on
 
 
+@pytest.mark.parametrize("n", [DEFAULT_GRID_N, 4096])
+def test_a_start_is_built_only_for_a_rung_whose_start_is_read(linear_dirichlet, monkeypatch, n):
+    # the first rung's start is the report's and the next rung's prediction; a last rung above it hands on nothing
+    original = lambda_solver._handed_on
+    built = []
+    monkeypatch.setattr(lambda_solver, "_handed_on", lambda prob, best, partner: built.append(best[0])
+                        or original(prob, best, partner))
+    report = solve_lambda(linear_dirichlet, SolverSettings(n=n))
+    assert built == [report.start.lam]
+
+
 @pytest.mark.parametrize("kind, params", [(BCKind.DIRICHLET, {}), (BCKind.ROBIN, {"Bi": 0.7})])
 def test_v2_scan_and_refine_see_one_function(kind, params):
     # the bracket scan calls v2_curve on an array, the lambda2 refine on floats

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from meltfront import (
     solve_lambda,
     verify,
 )
+from meltfront import coefficients
 from meltfront.cli import build_problem
+from meltfront.coefficients import eval_coefficient
 
 from conftest import bench_workloads
 
@@ -124,7 +127,8 @@ def test_infinite_horizon_is_a_config_error(t0, t1):
 # (bench solve config, nodes, t0, t1, block values): every boundary condition
 # on every coefficient family, then the benchmark's verify config marched
 # through 5 blocks of 3 rows, through blocks of one row, over 5,865 steps and
-# over an empty interval
+# over an empty interval, then the benchmark's own verify-pde march and a
+# linear-family march through 4 blocks of 40 rows at the default block size
 MARCHES = [
     ("dirichlet-constant", 8, 1.0, 1.2, None),
     ("dirichlet-linear", 16, 1.0, 1.1, None),
@@ -141,6 +145,8 @@ MARCHES = [
     ("verify", 16, 1.0, 1.2, 1),
     ("verify", 8, 1.0, 1e300, None),
     ("verify", 40, 1.3, 1.3, None),
+    ("verify", 200, 1.0, 2.0, None),
+    ("robin-linear", 200, 1.0, 2.0, None),
 ]
 # (s_rel_max, s_rel_final, T_rel_max, steps, t_final) per march, the floats
 # as float.hex, recorded with the drift compared after every step: no block
@@ -161,6 +167,8 @@ PINNED_MARCHES = [
     ('0x1.36a27fc9b1962p-9', '0x1.36a27fc9b1962p-9', '0x1.ef96938d3b000p-10', 4, '0x1.3333333333333p+0'),
     ('0x1.b76420cae841ep-6', '0x1.b2f70708cedbap-6', '0x1.5697bf91b9580p-6', 5865, '0x1.7e43c8800759cp+996'),
     ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', 0, '0x1.4cccccccccccdp+0'),
+    ('0x1.2040723362ae0p-11', '0x1.2040723362ae0p-11', '0x1.f00d184183000p-12', 139, '0x1.0000000000000p+1'),
+    ('0x1.6eb7dd5bdf6a3p-12', '0x1.6eb7dd5bdf6a3p-12', '0x1.83d51e26e3870p-12', 139, '0x1.0000000000000p+1'),
 ]
 
 
@@ -190,3 +198,60 @@ def test_march_discrepancy_is_pinned_bit_for_bit(bench_solutions, monkeypatch, c
     if block_values is not None:
         monkeypatch.setattr(pde_verifier, "_BLOCK_VALUES", block_values)
     assert march(bench_solutions[name], nodes, t0, t1) == pinned
+
+
+@pytest.mark.parametrize("t1", [1.0, 1.2])
+def test_discrepancy_fields_are_plain_floats(dirichlet_case, t1):
+    model, bc, sol = dirichlet_case
+    d = verify(sol, model, bc, FrontFixedScheme(nodes=40, t0=1.0, t1=t1))
+    assert [type(d.s_rel_max), type(d.s_rel_final), type(d.T_rel_max), type(d.steps), type(d.t_final)] == [
+        float, float, float, int, float
+    ]
+
+
+def _scalar_only(fn):
+    def scalar(T):
+        if np.ndim(T):
+            raise TypeError("scalar temperatures only")
+        return fn(T)
+
+    return scalar
+
+
+def test_scalar_only_coefficients_march_like_vectorised_ones(bench_solutions):
+    # the eval_coefficient fallback, one value at a time, with the same arithmetic per value
+    model, bc, sol = bench_solutions["robin-table"]
+    vectorised = ThermalModel(
+        lambda T: 1.0 + 0.1 * (T - 1.0) * (T - 1.0),
+        lambda T: 1.0 + 0.05 * T,
+        lambda T: 0.2 + 0.0 * T,
+        model.k0, model.rho0, model.c0, model.ell,
+    )
+    scalar = ThermalModel(
+        *map(_scalar_only, (vectorised.k, vectorised.rho_c, vectorised.mu)),
+        vectorised.k0, vectorised.rho0, vectorised.c0, vectorised.ell,
+    )
+    scheme = FrontFixedScheme(nodes=32, t0=1.0, t1=1.3)
+    got = [verify(sol, m, bc, scheme) for m in (vectorised, scalar)]
+    assert got[0].steps > 0
+    assert [float(v).hex() for v in astuple(got[1])] == [float(v).hex() for v in astuple(got[0])]
+
+
+def test_a_family_model_marches_without_per_step_coefficient_calls(dirichlet_case, monkeypatch):
+    model, bc, sol = dirichlet_case
+    calls = []
+
+    def counted(fn, x):
+        calls.append(fn)
+        return eval_coefficient(fn, x)
+
+    monkeypatch.setattr(coefficients, "eval_coefficient", counted)
+    monkeypatch.setattr(pde_verifier, "eval_coefficient", counted)
+    scheme = FrontFixedScheme(nodes=40, t0=1.0, t1=1.2)
+    d = verify(sol, model, bc, scheme)
+    assert model.family is not None and d.steps == 8
+    assert calls == [model.k]  # k at the front, once
+    # a copy without the family evaluates k, rho_c and mu each step, to the same march
+    calls.clear()
+    assert verify(sol, replace(model), bc, scheme) == d
+    assert len(calls) == 1 + 3 * d.steps
