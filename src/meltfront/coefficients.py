@@ -166,10 +166,14 @@ def _linear_family(alpha: float, beta: float, Pe: float, theta0: float = 0.0, th
     """The linear family at theta = theta0 + theta1 u: L = 1 + beta theta, N = 1 + alpha theta, mu = Pe N.
 
     Returns one ``(function, (min, max, Lipschitz))`` pair for each of L, N
-    and mu.  Each function is evaluated as c0 + c1 u, whose rounded values on
-    u in [0, 1] lie between those at the ends, so the triples (the two end
-    values and |c1|) are exact on [0, 1].  The defaults give theta = u.  L
-    and N take an optional ``out`` array for their result, which may be u.
+    and mu, and the ``(L, N, Pe, L at a float, N at a float)`` that
+    :meth:`DimensionlessProblem.coefficients_into` reads.  Each function is
+    evaluated as c0 + c1 u, whose rounding is monotone in u, so its values
+    on any set of u lie between those at the set's least and greatest u, and
+    the triples (the two end values and |c1|) are exact on [0, 1].  The
+    float forms do the same two operations on one Python float.  The
+    defaults give theta = u.  L and N take an optional ``out`` array for
+    their result, which may be u.
     """
     if alpha < 0.0 or beta < 0.0 or Pe < 0.0:
         raise ConfigError("alpha, beta and Pe must be non-negative")
@@ -177,11 +181,11 @@ def _linear_family(alpha: float, beta: float, Pe: float, theta0: float = 0.0, th
     def affine(slope: float):
         c0, c1 = 1.0 + slope * theta0, slope * theta1
         fn = lambda u, out=None: np.add(c0, np.multiply(c1, np.asarray(u, dtype=float), out=out), out=out)
-        return fn, (min(c0, c0 + c1), max(c0, c0 + c1), abs(c1))
+        return fn, lambda u: c0 + c1 * u, (min(c0, c0 + c1), max(c0, c0 + c1), abs(c1))
 
-    N, N_bounds = affine(float(alpha))
+    (L, L_at, L_bounds), (N, N_at, N_bounds) = affine(float(beta)), affine(float(alpha))
     mu = lambda u: Pe * N(u)
-    return affine(float(beta)), (N, N_bounds), (mu, tuple(Pe * b for b in N_bounds))
+    return (L, L_bounds), (N, N_bounds), (mu, tuple(Pe * b for b in N_bounds)), (L, N, Pe, L_at, N_at)
 
 
 def constant_model(k0: float, rho0: float, c0: float, ell: float, Pe: float = 0.0) -> ThermalModel:
@@ -212,7 +216,7 @@ def linear_model(
     The model carries no bounds; it records ``(alpha, beta, Pe, T_star, T_m)``
     as its ``family``, from which :func:`build_dimensionless` reduces it.
     """
-    (L, _), (N, _), _ = _linear_family(alpha, beta, Pe)
+    (L, _), (N, _), _, _ = _linear_family(alpha, beta, Pe)
     _check_reference(k0, rho0, c0, ell)
     if not T_star > T_m:
         raise ConfigError(f"linear family requires T_star > T_m, got T_star={T_star}, T_m={T_m}")
@@ -430,6 +434,10 @@ class DimensionlessProblem:
     T_star: float | None = None
     T_m: float | None = None
     bounds_certified: bool = True
+    # (L, N, Pe, L at a float, N at a float) of a linear family (see _linear_family),
+    # from which its L*, N* and mu* are built; set on the instance, never a field,
+    # so a dataclasses.replace copy falls back to this None
+    _family: ClassVar[tuple | None] = None
 
     def __post_init__(self):
         kind = self.bc_kind
@@ -471,6 +479,31 @@ class DimensionlessProblem:
         if self.bc_kind is not BCKind.RADIATIVE:
             return None
         return 4.0 * (self.T_star - self.T_m) * abs(self.T_star) ** 3
+
+    def coefficients_into(self, f: np.ndarray, out: np.ndarray) -> tuple[float, float, float, float]:
+        """Write L*, N* and mu* at f into out[0], out[1] and out[2]; return min L*, max L*, max |N*|, max |mu*|.
+
+        A linear family (see ``_family``) writes L* and N* with its own
+        functions and mu* as Pe N*, its callables' values to the bit, and
+        reads the extremes at f.min() and f.max(); they are the arrays'
+        (see :func:`_linear_family`), and NaN for a non-finite f.  Any other
+        problem, a ``dataclasses.replace`` copy included, calls each
+        callable through :func:`eval_coefficient`.
+        """
+        L, N, mu = out
+        if self._family is None:
+            for row, fn in zip(out, (self.L_star, self.N_star, self.mu_star)):
+                row[...] = eval_coefficient(fn, f)
+            return float(L.min()), float(L.max()), float(max(N.max(), -N.min())), float(max(mu.max(), -mu.min()))
+        L_fn, N_fn, Pe, L_at, N_at = self._family
+        L_fn(f, out=L)
+        N_fn(f, out=N)
+        np.multiply(Pe, N, out=mu)
+        lo, hi = float(f.min()), float(f.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return (math.nan,) * 4
+        L_lo, L_hi, N_lo, N_hi = L_at(lo), L_at(hi), N_at(lo), N_at(hi)
+        return min(L_lo, L_hi), max(L_lo, L_hi), max(abs(N_lo), abs(N_hi)), max(abs(Pe * N_lo), abs(Pe * N_hi))
 
 
 def _sampled_family(bc: BoundaryCondition, L_star: Callable, N_star: Callable, mu_star: Callable):
@@ -530,8 +563,9 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         alpha, beta, Pe, T_star, T_m = model.family
         # T(0) and dT/df of temperature_of_f
         T0, dT = (bc.T_m, bc.T_m) if kind is BCKind.NEUMANN else (bc.T_star, bc.T_m - bc.T_star)
-        coefs = _linear_family(alpha, beta, Pe, (T0 - T_star) / (T_m - T_star), dT / (T_m - T_star))
+        *coefs, family = _linear_family(alpha, beta, Pe, (T0 - T_star) / (T_m - T_star), dT / (T_m - T_star))
     else:
+        family = None
         # callers evaluate these through eval_coefficient, which also covers
         # scalar-only model callables
         k_fn, g_fn, m_fn = model.k, model.rho_c, model.mu
@@ -564,7 +598,7 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
             raise ConfigError(f"the r divisor k0*(T_star-T_m) underflows to 0 at k0={k0!r}, T_star={bc.T_star!r}")
         params["r"] = 2.0 * bc.sigma * bc.epsilon * math.sqrt(alpha0) / (k0 * (bc.T_star - bc.T_m))
 
-    return DimensionlessProblem(
+    prob = DimensionlessProblem(
         L_star,
         N_star,
         mu_star,
@@ -575,6 +609,8 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         bounds_certified=model.family is not None,
         **params,
     )
+    object.__setattr__(prob, "_family", family)
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +646,8 @@ def linear_problem(
     (possible under a Neumann condition) evaluate the same formulas but are
     outside the certified region.
     """
-    (L, L_bounds), (N, N_bounds), (mu, mu_bounds) = _linear_family(alpha, beta, Pe)
-    return DimensionlessProblem(
+    (L, L_bounds), (N, N_bounds), (mu, mu_bounds), family = _linear_family(alpha, beta, Pe)
+    prob = DimensionlessProblem(
         L, N, mu, *L_bounds, *N_bounds, *mu_bounds,
         bc_kind=bc_kind,
         Ste=Ste,
@@ -622,3 +658,5 @@ def linear_problem(
         T_star=T_star,
         T_m=T_m,
     )
+    object.__setattr__(prob, "_family", family)
+    return prob

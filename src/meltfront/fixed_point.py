@@ -83,6 +83,7 @@ def _radiative_g0(prob: DimensionlessProblem, f0: float) -> float:
 
 
 def _operator_image(prob: DimensionlessProblem, profile: ProfileGrid) -> tuple[np.ndarray, KernelEval]:
+    """H(profile) as a new array, built in place in the operation order of the module docstring's formulas."""
     ke = eval_kernels(profile, prob)
     Phi = ke.Phi
     phi_lam = ke.phi_lam
@@ -90,14 +91,18 @@ def _operator_image(prob: DimensionlessProblem, profile: ProfileGrid) -> tuple[n
         raise ConfigError(f"Phi(f)(lambda) must be positive, got {phi_lam!r}")
     kind = prob.bc_kind
     if kind is BCKind.DIRICHLET:
-        g = Phi / phi_lam
+        g = np.divide(Phi, phi_lam)
     elif kind is BCKind.NEUMANN:
-        g = prob.q_star * (phi_lam - Phi)
+        g = np.subtract(phi_lam, Phi)
+        g *= prob.q_star
     elif kind is BCKind.ROBIN:
-        g = (1.0 + 2.0 * prob.Bi * Phi) / (1.0 + 2.0 * prob.Bi * phi_lam)
+        g = np.multiply(2.0 * prob.Bi, Phi)
+        g += 1.0
+        g /= 1.0 + 2.0 * prob.Bi * phi_lam
     else:
-        g0 = _radiative_g0(prob, float(profile.f[0]))
-        g = 1.0 - g0 * (phi_lam - Phi)
+        g = np.subtract(phi_lam, Phi)
+        g *= _radiative_g0(prob, float(profile.f[0]))
+        np.subtract(1.0, g, out=g)
     if not np.isfinite(g).all():
         raise ConvergenceError("operator image contains non-finite values", lam=profile.lam)
     return g, ke
@@ -106,7 +111,7 @@ def _operator_image(prob: DimensionlessProblem, profile: ProfileGrid) -> tuple[n
 def apply_operator(prob: DimensionlessProblem, profile: ProfileGrid) -> ProfileGrid:
     """One application of the boundary-condition operator."""
     g, _ = _operator_image(prob, profile)
-    return profile.with_values(g)
+    return ProfileGrid._adopt(profile.lam, g, profile.xi)
 
 
 def solve_profile(
@@ -149,7 +154,7 @@ def solve_profile(
                 if not np.array_equal(clipped, values):
                     did_clamp = True
                 values = clipped
-        return f0.with_values(values)
+        return ProfileGrid._adopt(f0.lam, values, f0.xi)
 
     # the start f0 is iteration 0: it is returned if its own defect meets tol
     current, iterations = f0, 0

@@ -11,17 +11,25 @@ All integrals use a cumulative composite trapezoid rule on the shared uniform
 grid (a running sum of neighbour pairs times half the step), so every node
 value comes out of one pass and refinement behaves at second order.  E's
 exponent is one sum of (mu* - sigma N*)/L*; U's and I's are summed when read.
+
+A :class:`KernelEval` keeps only what the solver reads: Phi and E(lambda).
+L*, N*, mu*, E's integrand and E are written into a workspace that each
+thread reuses for the node counts it last evaluated; the E, L, N, mu,
+log_U and log_I of a KernelEval run the same pass again, into fresh
+arrays, when they are read.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import DimensionlessProblem, eval_coefficient
+# eval_coefficient is bound here for bench/tracing.py, which wraps every binding of it
+from .coefficients import DimensionlessProblem, eval_coefficient  # noqa: F401
 from .errors import ConfigError, KernelOverflowError
 
 __all__ = [
@@ -66,9 +74,25 @@ class ProfileGrid:
         f = np.array(self.f, dtype=float)
         if f.ndim != 1 or f.size < 2:
             raise ConfigError("profile needs at least two nodes")
+        self._hold(f)
+
+    @classmethod
+    def _adopt(cls, lam: float, f: np.ndarray, xi: np.ndarray | None = None) -> "ProfileGrid":
+        """A grid over [0, lam], for a positive finite lam, with the float array f as its node values, uncopied.
+
+        f is made read-only and ``xi`` built from lam unless given.  For
+        arrays that the package made and that nothing else writes to.
+        """
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "lam", lam)
+        grid._hold(f, xi)
+        return grid
+
+    def _hold(self, f: np.ndarray, xi: np.ndarray | None = None) -> None:
+        if xi is None:
+            xi = _WORKSPACES.nodes(self.lam, f.size)
+            xi.setflags(write=False)
         f.setflags(write=False)
-        xi = np.linspace(0.0, self.lam, f.size)
-        xi.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "xi", xi)
 
@@ -89,53 +113,108 @@ class ProfileGrid:
         return self.lam / self.n
 
     def with_values(self, f: np.ndarray) -> "ProfileGrid":
-        """The same grid with new node values, sharing this grid's ``xi`` instead of rebuilding it."""
+        """The same grid with a copy of new node values, sharing this grid's ``xi`` instead of rebuilding it."""
         f = np.array(f, dtype=float)
         if f.shape != self.xi.shape:
             raise ConfigError("xi and f must have the same length")
-        f.setflags(write=False)
-        grid = object.__new__(ProfileGrid)
-        for name, value in (("lam", self.lam), ("f", f), ("xi", self.xi)):
-            object.__setattr__(grid, name, value)
-        return grid
+        return ProfileGrid._adopt(self.lam, f, self.xi)
+
 
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Node values of E and Phi for one profile, and of the L*, N* and mu* they were built from.
+    """Phi's node values and E(lambda) for one profile of one problem.
 
-    ``log_U`` and ``log_I``, the exponents of U and I, are summed on each read.
+    E, the L*, N* and mu* it was built from, and log_U and log_I, the
+    exponents of U and I, are computed again on each read, by the pass that
+    gave Phi and E(lambda), bit for bit.
     """
 
-    E: np.ndarray
-    Phi: np.ndarray
     profile: ProfileGrid
-    L: np.ndarray
-    N: np.ndarray
-    mu: np.ndarray
+    prob: DimensionlessProblem
+    E_lam: float
+    Phi: np.ndarray
 
     @property
     def phi_lam(self) -> float:
         return float(self.Phi[-1])
 
+    def _pass(self) -> np.ndarray:
+        """A fresh workspace filled by the kernel pass on this profile: the rows L*, N*, mu*, E / L* and E."""
+        work = np.empty((5, self.profile.f.size))
+        _kernel_pass(self.profile, self.prob, work)
+        return work
+
+    @property
+    def L(self) -> np.ndarray:
+        return self._pass()[0]
+
+    @property
+    def N(self) -> np.ndarray:
+        return self._pass()[1]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self._pass()[2]
+
+    @property
+    def E(self) -> np.ndarray:
+        return self._pass()[4]
+
     @property
     def log_U(self) -> np.ndarray:
-        return _cumulative_trapezoid(self.mu / self.L, 2.0 * self.profile.step)
+        L, _, mu = self._pass()[:3]
+        return _cumulative_trapezoid(mu / L, 2.0 * self.profile.step)
 
     @property
     def log_I(self) -> np.ndarray:
-        return _cumulative_trapezoid(self.profile.xi * self.N / self.L, 2.0 * self.profile.step)
+        L, N = self._pass()[:2]
+        return _cumulative_trapezoid(self.profile.xi * N / L, 2.0 * self.profile.step)
 
 
-def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
-    """Cumulative composite trapezoid of node values y on a uniform grid, starting at 0."""
-    out = np.empty_like(y)
+def _cumulative_trapezoid(y: np.ndarray, step: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative composite trapezoid of node values y on a uniform grid, starting at 0, into out (default new)."""
+    if out is None:
+        out = np.empty_like(y)
     out[0] = 0.0
     sums = out[1:]
     np.add(y[1:], y[:-1], out=sums)
     np.add.accumulate(sums, out=sums)
     out *= 0.5 * step
     return out
+
+
+class _Workspaces(threading.local):
+    """Each thread's kernel workspaces for the two node counts it last added.
+
+    A node count's workspace is a (6, size) array: five rows for one kernel
+    pass and the node numbers 0, 1, ..., size - 1.  Two threads never share
+    one, and a fine solve's two grids keep theirs.
+    """
+
+    def __init__(self):
+        self.by_size: dict[int, np.ndarray] = {}
+
+    def get(self, size: int) -> np.ndarray:
+        work = self.by_size.get(size)
+        if work is None:
+            if len(self.by_size) == 2:
+                del self.by_size[next(iter(self.by_size))]
+            work = self.by_size[size] = np.empty((6, size))
+            work[5] = np.arange(size)
+        return work
+
+    def nodes(self, lam: float, size: int) -> np.ndarray:
+        """np.linspace(0, lam, size) to the bit for a positive lam: the node numbers times lam / (size - 1)."""
+        step = lam / (size - 1)
+        if step == 0.0:  # linspace scales a subnormal lam differently
+            return np.linspace(0.0, lam, size)
+        xi = np.multiply(self.get(size)[5], step)
+        xi[-1] = lam
+        return xi
+
+
+_WORKSPACES = _Workspaces()
 
 
 def _erf(x):
@@ -146,17 +225,15 @@ def _erf(x):
     return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval:
-    """Evaluate the four kernels on the profile's grid.
+def _kernel_pass(profile: ProfileGrid, prob: DimensionlessProblem, work: np.ndarray) -> np.ndarray:
+    """Fill work's rows with L*, N*, mu*, E / L* and E on the profile's grid; return a new Phi.
 
     Raises KernelOverflowError when an exponent passes the overflow guard,
     naming the first offending node.
     """
     xi, f = profile.xi, profile.f
-    L = eval_coefficient(prob.L_star, f)
-    N = eval_coefficient(prob.N_star, f)
-    mu = eval_coefficient(prob.mu_star, f)
-    L_min, L_max, N_abs, mu_abs = map(float, (L.min(), L.max(), max(N.max(), -N.min()), max(mu.max(), -mu.min())))
+    L, N, mu, scratch, E = work[:5]
+    L_min, L_max, N_abs, mu_abs = prob.coefficients_into(f, work[:3])
     # an inf or NaN makes an extreme, and so their sum, non-finite; an
     # overflowing sum of finite extremes falls through to the exact test
     if not math.isfinite(L_min + L_max + N_abs + mu_abs):
@@ -184,14 +261,25 @@ def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval
                 node=bad,
                 exponent=worst,
             )
-    # E's exponent (mu - xi N) / L is built in one scratch array, which then holds E / L
-    scratch = np.multiply(xi, N)
+    # E's exponent (mu - xi N) / L is built in the scratch row, which then holds E / L
+    np.multiply(xi, N, out=scratch)
     np.subtract(mu, scratch, out=scratch)
     np.divide(scratch, L, out=scratch)
-    E = _cumulative_trapezoid(scratch, 2.0 * step)
+    _cumulative_trapezoid(scratch, 2.0 * step, E)
     np.exp(E, out=E)
     np.divide(E, L, out=scratch)
-    return KernelEval(E, _cumulative_trapezoid(scratch, step), profile, L, N, mu)
+    return _cumulative_trapezoid(scratch, step)
+
+
+def eval_kernels(profile: ProfileGrid, prob: DimensionlessProblem) -> KernelEval:
+    """Evaluate the four kernels on the profile's grid, in this thread's workspace for its node count.
+
+    Raises KernelOverflowError when an exponent passes the overflow guard,
+    naming the first offending node.
+    """
+    work = _WORKSPACES.get(profile.f.size)
+    Phi = _kernel_pass(profile, prob, work)
+    return KernelEval(profile, prob, float(work[4, -1]), Phi)
 
 
 @dataclass(frozen=True)

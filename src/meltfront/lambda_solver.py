@@ -190,7 +190,7 @@ def v_value(
             lam=lam,
         )
     ke = inner.kernels
-    E_lam = float(ke.E[-1])
+    E_lam = ke.E_lam
     phi_lam = ke.phi_lam
     kind = prob.bc_kind
     if kind is BCKind.DIRICHLET:
@@ -420,21 +420,26 @@ class _FrontResidual:
         self.evaluated: list[_Evaluation] = []
 
     def __call__(self, lam: float) -> float:
-        f0 = None if self.warm is None else ProfileGrid(lam, self._predicted(lam))
-        value, inner = v_value(self.prob, lam, self.settings, f0=f0)
+        value, inner = v_value(self.prob, lam, self.settings, f0=self._start(lam))
         if self.tangent is not None and self.evaluated:
             last_lam, _, last = self.evaluated[-1]
             if abs(lam - last_lam) >= _SLOPE_SPAN * max(1.0, lam):
-                self.tangent = (inner.image - last.image) / (lam - last_lam)
+                self.tangent = np.subtract(inner.image, last.image)
+                self.tangent /= lam - last_lam
         self.warm = inner.image
         self.evaluated.append((lam, value - lam, inner))
         return value - lam
 
-    def _predicted(self, lam: float) -> np.ndarray:
-        if self.tangent is None or not self.evaluated:
-            return self.warm
-        predicted = self.warm + (lam - self.evaluated[-1][0]) * self.tangent
-        return predicted if _admissible(predicted, self.prob.bc_kind) else self.warm
+    def _start(self, lam: float) -> ProfileGrid | None:
+        """The inner solve's start at lam: a copy of the caller's ``warm``, then images and predictions uncopied."""
+        if self.warm is None or not self.evaluated:
+            return None if self.warm is None else ProfileGrid(lam, self.warm)
+        if self.tangent is not None:
+            predicted = np.multiply(lam - self.evaluated[-1][0], self.tangent)
+            predicted += self.warm
+            if _admissible(predicted, self.prob.bc_kind):
+                return ProfileGrid._adopt(lam, predicted)
+        return ProfileGrid._adopt(lam, self.warm)
 
 
 def _search_interval(br: Bracket) -> tuple[float, float]:

@@ -183,6 +183,16 @@ def verify(
             # infinite front speed, which the check after the step reports
             sdot = -k_front * (T[-1] - T[-2]) / (dy * s * rho_ell)
 
+            # s is front_position's Python float until the first step moves it,
+            # and a Python float's ** raises OverflowError where numpy's gives inf;
+            # an infinite dy^2 s^2 would zero the diffusion instead of failing
+            try:
+                scale = dy**2 * s**2
+            except OverflowError:
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise unstable()
+
             # rows i = 1..n-1 of (1 - dt A) T_new = T_old, with A the centered
             # diffusion and advection operator frozen at the start of the step:
             # diff = dt / (dy^2 s^2 gam), adv = dt (y sdot / s - mu / (gam sqrt(t) s)) / (2 dy),
@@ -190,7 +200,7 @@ def verify(
             # (upper is negated before adv is subtracted, so even a zero keeps its sign)
             np.add(k[:-1], k[1:], out=kh)
             kh *= 0.5
-            np.multiply(gam_in, dy**2 * s**2, out=diff)
+            np.multiply(gam_in, scale, out=diff)
             np.divide(dt, diff, out=diff)
             np.multiply(gam_in, math.sqrt(t), out=adv)
             adv *= s

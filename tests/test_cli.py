@@ -206,6 +206,24 @@ def test_a_subnormal_pde_t0_is_a_config_error(tmp_path, capsys, t0, k0):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("t0, t1, step", [(1.5e8, 1.6e8, 0), (3.76e7, 4.5e7, 13)], ids=["first-step", "later-step"])
+def test_a_front_whose_square_overflows_fails_the_march(tmp_path, capsys, monkeypatch, t0, t1, step):
+    # alpha0*t is finite, but dy^2 s^2 overflows once s passes about 1.34e154: at t0, where s is
+    # still a Python float whose ** raises OverflowError, or at a later step, where an infinite
+    # numpy product would have zeroed the diffusion and let the march run on
+    codes, failure_exit_code = [], cli._failure_exit_code
+    monkeypatch.setattr(cli, "_failure_exit_code", lambda cert: codes.append(failure_exit_code(cert)) or codes[-1])
+    reference = {"k0": 1e300, "rho0": 1.0, "c0": 1.0, "ell": 0.2, "T_m": 1.0}
+    cfg = write_config(tmp_path / "cfg.json", reference=reference, pde={"nodes": 200, "t0": t0, "t1": t1})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify-pde", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert codes == [rc] and rc in (2, 4)
+    assert f"front-fixed scheme unstable at step {step} " in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
 @pytest.mark.parametrize(
     "n, nx",
     [(64.0, 3.0), ("64.0", "3.0"), ("64", "3"), ("6.4e1", "3e0")],
