@@ -8,14 +8,16 @@ This module builds those from dimensional material data: two built-in
 coefficient families (constant and linear-in-temperature), or tabulated
 coefficients read from CSV and interpolated piecewise-linearly.
 
-Scaled temperature map (:func:`temperature_of_f`, shared with the
-reconstruction of physical fields):
-
-* Dirichlet / Robin / radiative:  T(f) = (T_m - T_star) * f + T_star
-* Neumann:                        T(f) = T_m * (1 + f)
-
-so f = 0 at the fixed face and f = 1 at the melt front for the first group,
-while the Neumann profile is anchored by f = 0 at the front.
+Each boundary condition is one class here (Dirichlet, Neumann, Robin,
+Radiative) holding all of its formulas: the scaled temperature map of
+:func:`temperature_of_f` (shared with the reconstruction of physical
+fields), the reduction to dimensionless parameters, the PDE face value,
+and the dimensionless operator image, front value, sandwich curves,
+contraction bound and hypotheses that the solver reads through
+``DimensionlessProblem.condition``.  Under a Dirichlet, Robin or
+radiative condition T(f) = (T_m - T_star) f + T_star, so f = 0 at the
+fixed face and f = 1 at the melt front; the Neumann map T(f) = T_m (1 + f)
+anchors the profile by f = 0 at the front.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ def eval_coefficient(fn: Callable, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.fromiter((float(fn(v)) for v in x.ravel()), dtype=float, count=x.size).reshape(x.shape)
+
+
+def _erf(x):
+    """erf by ``math.erf``: a float for a float or 0-d input, an array of the input's shape otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return math.erf(x)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +326,118 @@ def table_model_from_csv(path: str | Path, k0: float, rho0: float, c0: float, el
 # ---------------------------------------------------------------------------
 
 
+class _Condition:
+    """The formulas of a fixed-face condition, each written once.
+
+    Each condition class holds its own: on the instance the dimensional
+    ones (temperature map, parameter reduction, PDE face value), as static
+    methods the dimensionless ones, which a problem reaches as
+    ``DimensionlessProblem.condition``.  A formula two or more conditions
+    share is written here and overridden where one differs; the defaults
+    are those of the conditions anchored at T_star.  A new per-condition
+    formula belongs in these classes, not in a chain over ``BCKind``.
+    """
+
+    # admissible profiles lie in [0, f_max]
+    f_max: ClassVar[float] = 1.0
+    # whether H maps admissible profiles into [0, f_max] with no hypothesis of
+    # its own; where it need not, the Picard iteration watches its iterates
+    self_map: ClassVar[bool] = True
+    # the DimensionlessProblem parameters the condition reads
+    problem_params: ClassVar[tuple[str, ...]] = ("Ste",)
+    # how an error message names the condition's problems (default: kind.value)
+    _noun: ClassVar[str | None] = None
+
+    def span(self) -> tuple[float, float]:
+        """T(0) and dT/df of the temperature map T(f) = (T_m - T_star) f + T_star."""
+        return self.T_star, self.T_m - self.T_star
+
+    def temperature(self, f: np.ndarray):
+        T0, dT = self.span()
+        return dT * f + T0
+
+    def reduce(self, model: ThermalModel, L_star: Callable) -> dict[str, float]:
+        """The problem parameters the condition reads, and T_star and T_m."""
+        return dict(Ste=(self.T_star - self.T_m) * model.c0 / model.ell, T_star=self.T_star, T_m=self.T_m)
+
+    def _biot(self, model: ThermalModel) -> float:
+        return self.h * math.sqrt(model.alpha0) / model.k0
+
+    def face_temperature(self, model: ThermalModel, T1, T2, T0_prev, dy, s, t):
+        """PDE face value from the flux condition, one-sided second-order in y, by up to 8 ``_face_step`` sweeps."""
+        T0 = T0_prev
+        for _ in range(8):
+            k0 = float(eval_coefficient(model.k, T0))
+            c = 2.0 * dy * s / (k0 * math.sqrt(t))
+            new = self._face_step(T0, T1, T2, c)
+            if abs(new - T0) <= 1e-12 * max(1.0, abs(new)):
+                T0 = new
+                break
+            T0 = new
+        return T0
+
+    @classmethod
+    def _check(cls, prob: "DimensionlessProblem", names: tuple[str, ...]) -> None:
+        """Reject a parameter that is None, not finite, or not above 0 (Bi and r: not at or above 0)."""
+        noun = cls._noun or cls.kind.value
+        for name in names:
+            value, zero_ok = getattr(prob, name), name in ("Bi", "r")
+            if value is None or not (0.0 <= value if zero_ok else 0.0 < value) or not value < math.inf:
+                sign = ">=" if zero_ok else ">"
+                raise ConfigError(f"{noun} problems need finite {name} {sign} 0, got {value!r}")
+
+    @staticmethod
+    def _check_face(prob: "DimensionlessProblem") -> None:
+        """Checks of the face data that come before those of the coefficient bounds."""
+
+    @staticmethod
+    def D5(prob: "DimensionlessProblem") -> float | None:
+        return None
+
+    @staticmethod
+    def start(grid, lam: float, n: int):
+        """The default first iterate on n intervals over [0, lam], built by ``grid`` (ProfileGrid): the ramp."""
+        return grid.linear(lam, n)
+
+    @staticmethod
+    def v1(prob: "DimensionlessProblem", lam: float) -> float:
+        return 0.0
+
+    @staticmethod
+    def v2(prob: "DimensionlessProblem", lam: np.ndarray, E_upper: np.ndarray) -> np.ndarray:
+        """V2 from E's upper envelope and the erf-based lower envelope of Phi."""
+        scale = prob.Ste / math.sqrt(math.pi) * math.sqrt(prob.N_M / prob.L_m) * prob.L_M
+        denom = _erf(math.sqrt(prob.N_M / prob.L_m) * lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom == 0.0, math.inf, scale * E_upper / denom)
+
+    @staticmethod
+    def contraction_bound(prob: "DimensionlessProblem", z: float, D4: float) -> float:
+        return 2.0 * D4 * prob.L_M * math.exp(prob.N_M / prob.L_m * z**2)
+
+    @staticmethod
+    def threshold_note(prob: "DimensionlessProblem", e0: float) -> str | None:
+        """Why the bound, e0 at z = 0, never reaches 1, where its formula tells without a search."""
+        # a multiple of D4, which vanishes with the three Lipschitz constants
+        if e0 < 1.0 and prob.L_tilde == prob.N_tilde == prob.mu_tilde == 0.0:
+            return "unconditional contraction (bound never reaches 1)"
+        return None
+
+    @staticmethod
+    def hypotheses(prob: "DimensionlessProblem", e0: float) -> dict[str, bool]:
+        """The condition's own existence hypotheses by flag name, given the contraction bound e0 at z = 0."""
+        return {"extra_contraction": e0 < 1.0}
+
+    @staticmethod
+    def flux_residual(prob: "DimensionlessProblem", lam: float, fp: float, f_end: float) -> float:
+        """Relative defect of the front flux condition L*(f(lam)) f'(lam) = 2 lam / Ste."""
+        L_end = float(eval_coefficient(prob.L_star, f_end))
+        target = 2.0 * lam / prob.Ste
+        return abs(L_end * fp - target) / abs(target)
+
+
 @dataclass(frozen=True)
-class Dirichlet:
+class Dirichlet(_Condition):
     """Imposed temperature T_star > T_m at the fixed face."""
 
     T_star: float
@@ -328,28 +448,109 @@ class Dirichlet:
         if not self.T_star > self.T_m:
             raise ConfigError(f"Dirichlet requires T_star > T_m, got T_star={self.T_star}, T_m={self.T_m}")
 
+    def face_temperature(self, model, T1, T2, T0_prev, dy, s, t):
+        return self.T_star
+
+    @staticmethod
+    def image(prob, Phi, phi_lam, f):
+        """H(f) = Phi(f)(xi) / Phi(f)(lambda)."""
+        return np.divide(Phi, phi_lam)
+
+    @staticmethod
+    def front_value(prob, E_lam, phi_lam, f):
+        """V = Ste/2 * E(f)(lambda) / Phi(f)(lambda)."""
+        return 0.5 * prob.Ste * E_lam / phi_lam
+
+    @staticmethod
+    def v1(prob, lam):
+        return prob.Ste * prob.mu_M * math.exp(-2.0 * lam * prob.mu_M / prob.L_m - 2.0 * lam**2 * prob.N_M / prob.L_m)
+
 
 @dataclass(frozen=True)
-class Neumann:
-    """Prescribed inward flux q/sqrt(t) > 0 at the fixed face."""
+class Neumann(_Condition):
+    """Prescribed inward flux q/sqrt(t) > 0 at the fixed face; profiles need only be non-negative."""
 
     q: float
     T_m: float
     kind: ClassVar[BCKind] = BCKind.NEUMANN
+    f_max = math.inf
+    problem_params = ("q_star", "M")
+    _noun = "Neumann"
 
     def __post_init__(self):
         if not self.q > 0.0:
             raise ConfigError(f"Neumann requires q > 0, got {self.q}")
 
+    def span(self):
+        """T(0) and dT/df of T(f) = T_m (1 + f), which puts f = 0 at the melt front."""
+        if not self.T_m > 0.0:
+            raise ConfigError(f"Neumann reduction needs T_m > 0 (q* and M are undefined otherwise), got T_m={self.T_m}")
+        return self.T_m, self.T_m
+
+    def temperature(self, f):
+        return self.T_m * (1.0 + f)
+
+    def reduce(self, model, L_star):
+        k0 = model.k0
+        _check_positive("the q* divisor k0*T_m", k0 * self.T_m)
+        q_star = 2.0 * self.q * math.sqrt(model.alpha0) / (k0 * self.T_m)
+        # the Neumann map puts T_m at f = 0
+        k_at_melt = k0 * float(eval_coefficient(L_star, 0.0))
+        _check_positive("the M divisor T_m*c0*k(T_m)", self.T_m * model.c0 * k_at_melt)
+        return dict(q_star=q_star, M=2.0 * model.ell * k0 / (self.T_m * model.c0 * k_at_melt), T_m=self.T_m)
+
+    def _face_step(self, T0, T1, T2, c):
+        return (4.0 * T1 - T2 + c * self.q) / 3.0
+
+    @staticmethod
+    def start(grid, lam, n):
+        return grid.constant(lam, 0.0, n)
+
+    @staticmethod
+    def image(prob, Phi, phi_lam, f):
+        """H(f) = q* (Phi(f)(lambda) - Phi(f)(xi))."""
+        g = np.subtract(phi_lam, Phi)
+        g *= prob.q_star
+        return g
+
+    @staticmethod
+    def front_value(prob, E_lam, phi_lam, f):
+        """V = q* / (M L*(f(lambda))) * E(f)(lambda)."""
+        return prob.q_star / (prob.M * float(eval_coefficient(prob.L_star, f[-1]))) * E_lam
+
+    @staticmethod
+    def v1(prob, lam):
+        # E's lower envelope without its convection factor exp(2 lam mu_m / L_M) >= 1
+        return prob.q_star / (prob.M * prob.L_M) * math.exp(-(lam**2) * prob.N_M / prob.L_m)
+
+    @staticmethod
+    def v2(prob, lam, E_upper):
+        return prob.q_star / (prob.M * prob.L_m) * E_upper
+
+    @staticmethod
+    def contraction_bound(prob, z, D4):
+        return 2.0 * prob.q_star * z * D4
+
+    @staticmethod
+    def hypotheses(prob, e0):
+        return {}
+
+    @staticmethod
+    def flux_residual(prob, lam, fp, f_end):
+        """Relative defect of f'(lam) = -M lam."""
+        target = -prob.M * lam
+        return abs(fp - target) / abs(target)
+
 
 @dataclass(frozen=True)
-class Robin:
+class Robin(_Condition):
     """Convective heat transfer h/sqrt(t) toward bulk temperature T_star > T_m."""
 
     h: float
     T_star: float
     T_m: float
     kind: ClassVar[BCKind] = BCKind.ROBIN
+    problem_params = ("Ste", "Bi")
 
     def __post_init__(self):
         if self.h < 0.0:
@@ -357,9 +558,28 @@ class Robin:
         if not self.T_star > self.T_m:
             raise ConfigError(f"Robin requires T_star > T_m, got T_star={self.T_star}, T_m={self.T_m}")
 
+    def reduce(self, model, L_star):
+        return dict(super().reduce(model, L_star), Bi=self._biot(model))
+
+    def _face_step(self, T0, T1, T2, c):
+        return (4.0 * T1 - T2 + c * self.h * self.T_star) / (3.0 + c * self.h)
+
+    @staticmethod
+    def image(prob, Phi, phi_lam, f):
+        """H(f) = (1 + 2 Bi Phi(f)(xi)) / (1 + 2 Bi Phi(f)(lambda))."""
+        g = np.multiply(2.0 * prob.Bi, Phi)
+        g += 1.0
+        g /= 1.0 + 2.0 * prob.Bi * phi_lam
+        return g
+
+    @staticmethod
+    def front_value(prob, E_lam, phi_lam, f):
+        """V = Ste Bi E(f)(lambda) / (1 + 2 Bi Phi(f)(lambda))."""
+        return prob.Ste * prob.Bi * E_lam / (1.0 + 2.0 * prob.Bi * phi_lam)
+
 
 @dataclass(frozen=True)
-class Radiative:
+class Radiative(_Condition):
     """Convective plus fourth-power radiative exchange with the bulk at T_star.
 
     epsilon = 0 is allowed: the radiative route then degenerates exactly to
@@ -372,6 +592,8 @@ class Radiative:
     T_star: float
     T_m: float
     kind: ClassVar[BCKind] = BCKind.RADIATIVE
+    self_map = False
+    problem_params = ("Ste", "Bi", "r")
 
     def __post_init__(self):
         if self.h < 0.0:
@@ -383,16 +605,106 @@ class Radiative:
         if not self.T_star > self.T_m:
             raise ConfigError(f"Radiative requires T_star > T_m, got T_star={self.T_star}, T_m={self.T_m}")
 
+    def reduce(self, model, L_star):
+        k0 = model.k0
+        # an infinite divisor (T_star = inf) is left to the T_star^4 check
+        if not k0 * (self.T_star - self.T_m) > 0.0:
+            raise ConfigError(f"the r divisor k0*(T_star-T_m) underflows to 0 at k0={k0!r}, T_star={self.T_star!r}")
+        r = 2.0 * self.sigma * self.epsilon * math.sqrt(model.alpha0) / (k0 * (self.T_star - self.T_m))
+        return dict(super().reduce(model, L_star), Bi=self._biot(model), r=r)
+
+    def _face_step(self, T0, T1, T2, c):
+        # one Newton step on the quartic balance per sweep
+        flux = self.h * (T0 - self.T_star) + self.sigma * self.epsilon * (T0**4 - self.T_star**4)
+        g = 3.0 * T0 - 4.0 * T1 + T2 + c * flux
+        gp = 3.0 + c * (self.h + 4.0 * self.sigma * self.epsilon * T0**3)
+        return T0 - g / gp
+
+    @staticmethod
+    def _check_face(prob):
+        """The fourth-power data: T_star and T_m, finite T_star^4 and D5, and r."""
+        if prob.T_star is None or prob.T_m is None:
+            raise ConfigError("radiative problems need T_star and T_m")
+        try:
+            finite = math.isfinite(prob.T_star**4) and math.isfinite(prob.D5)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"radiative problems need finite T_star^4 and D5, got T_star={prob.T_star!r}, T_m={prob.T_m!r}"
+            )
+        Radiative._check(prob, ("r",))
+
+    @staticmethod
+    def D5(prob):
+        """Lipschitz constant 4 (T_star - T_m) |T_star|^3 of the fourth-power term."""
+        return 4.0 * (prob.T_star - prob.T_m) * abs(prob.T_star) ** 3
+
+    @staticmethod
+    def g0(prob, f0):
+        """G(f)(0) = 2 Bi f(0) + r (T_star^4 - ((T_m - T_star) f(0) + T_star)^4)."""
+        T_star, T_m = prob.T_star, prob.T_m
+        F0 = T_star**4 - ((T_m - T_star) * f0 + T_star) ** 4
+        return 2.0 * prob.Bi * f0 + prob.r * F0
+
+    @staticmethod
+    def image(prob, Phi, phi_lam, f):
+        """H(f) = 1 - G(f)(0) (Phi(f)(lambda) - Phi(f)(xi))."""
+        g = np.subtract(phi_lam, Phi)
+        g *= Radiative.g0(prob, float(f[0]))
+        np.subtract(1.0, g, out=g)
+        return g
+
+    @staticmethod
+    def front_value(prob, E_lam, phi_lam, f):
+        """V = Ste G(f)(0) / 2 * E(f)(lambda)."""
+        return 0.5 * prob.Ste * Radiative.g0(prob, float(f[0])) * E_lam
+
+    @staticmethod
+    def v2(prob, lam, E_upper):
+        return prob.Ste * (2.0 * prob.Bi + prob.r * prob.T_star**4) / 2.0 * E_upper
+
+    @staticmethod
+    def contraction_bound(prob, z, D4):
+        if prob.mu_M == 0.0:
+            raise ConfigError("radiative contraction bound is undefined when mu_M = 0")
+        head = 2.0 * (2.0 * prob.Bi + prob.r * prob.T_star**4) * z * D4
+        tail = math.exp(2.0 * prob.mu_M / prob.L_m * z) * (2.0 * prob.Bi + prob.r * prob.D5) / prob.mu_M
+        return head + tail
+
+    @staticmethod
+    def threshold_note(prob, e0):
+        return "contraction bound undefined (mu_M = 0)" if prob.mu_M == 0.0 else None
+
+    @staticmethod
+    def self_map_margin(prob, dimensional=False):
+        """Left-hand side of the self-map condition (<= 1), with T_star^4 - T_m^4 if dimensional; inf on overflow."""
+        try:
+            fourth = prob.T_star**4 - (prob.T_m**4 if dimensional else 0.0)
+            amp = 2.0 * prob.Bi + prob.r * fourth
+            return amp / (prob.L_m * math.sqrt(prob.N_m / prob.L_M)) * math.sqrt(math.pi) * math.exp(
+                prob.mu_M**2 * prob.L_M / (prob.L_m**2 * prob.N_m)
+            )
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def hypotheses(prob, e0):
+        return {
+            "radiative_self_map": Radiative.self_map_margin(prob) <= 1.0,
+            "radiative_self_map_dimensional": Radiative.self_map_margin(prob, dimensional=True) < 1.0,
+            # at z = 0 the bound is (2 Bi + r D5) / mu_M
+            "radiative_lipschitz": e0 < 1.0,
+        }
+
 
 BoundaryCondition = Union[Dirichlet, Neumann, Robin, Radiative]
+_CONDITIONS = {cls.kind: cls for cls in (Dirichlet, Neumann, Robin, Radiative)}
 
 
 def temperature_of_f(bc: BoundaryCondition, f):
     """Temperature at scaled temperature f (scalar or array) under ``bc``'s map."""
-    f = np.asarray(f, dtype=float)
-    if bc.kind is BCKind.NEUMANN:
-        return bc.T_m * (1.0 + f)
-    return (bc.T_m - bc.T_star) * f + bc.T_star
+    return bc.temperature(np.asarray(f, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +719,13 @@ class DimensionlessProblem:
     The functions take the scaled temperature f (scalar or array): L* and N*
     are positive, mu* is non-negative.  The nine constants bound them on f in [0, 1]:
     L_m <= L*(f) <= L_M with Lipschitz constant L_tilde, and likewise for
-    N* and mu*.  Parameters not used by ``bc_kind`` are None.  The bounds
-    and the parameters in use must be finite.  A radiative problem needs
-    ``T_star`` and ``T_m`` for the fourth-power term: T_star^4 and D5 must
-    be finite.
+    N* and mu*.  The bounds must be finite, and so must the parameters the
+    condition reads (its ``problem_params``).  A parameter the condition
+    does not read is carried as given, None or not, and never read:
+    :func:`build_dimensionless` sets only those it reads, and
+    :func:`linear_problem` keeps every one it is given but ``r``, which only
+    a radiative problem keeps.  A radiative problem needs ``T_star`` and
+    ``T_m`` for the fourth-power term: T_star^4 and D5 must be finite.
     """
 
     L_star: Callable
@@ -440,20 +755,10 @@ class DimensionlessProblem:
     _family: ClassVar[tuple | None] = None
 
     def __post_init__(self):
-        kind = self.bc_kind
-        if kind is BCKind.RADIATIVE:
-            if self.T_star is None or self.T_m is None:
-                raise ConfigError("radiative problems need T_star and T_m")
-            try:
-                finite = math.isfinite(self.T_star**4) and math.isfinite(self.D5)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ConfigError(
-                    f"radiative problems need finite T_star^4 and D5, got T_star={self.T_star!r}, T_m={self.T_m!r}"
-                )
-            if self.r is None or not 0.0 <= self.r < math.inf:
-                raise ConfigError(f"radiative problems need finite r >= 0, got {self.r!r}")
+        if self.bc_kind not in _CONDITIONS:
+            raise ConfigError(f"unknown boundary-condition kind {self.bc_kind!r}")
+        condition = self.condition
+        condition._check_face(self)
         # every comparison below also rejects NaN and infinite constants
         if not (0.0 < self.L_m <= self.L_M < math.inf and 0.0 < self.N_m <= self.N_M < math.inf):
             raise ConfigError("need 0 < L_m <= L_M < inf and 0 < N_m <= N_M < inf")
@@ -461,24 +766,17 @@ class DimensionlessProblem:
             raise ConfigError("need 0 <= mu_m <= mu_M < inf")
         if not all(0.0 <= c < math.inf for c in (self.L_tilde, self.N_tilde, self.mu_tilde)):
             raise ConfigError("Lipschitz constants must be non-negative and finite")
-        if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):
-            if self.Ste is None or not 0.0 < self.Ste < math.inf:
-                raise ConfigError(f"{kind.value} problems need finite Ste > 0, got {self.Ste!r}")
-        if kind is BCKind.NEUMANN:
-            if self.q_star is None or not 0.0 < self.q_star < math.inf:
-                raise ConfigError(f"Neumann problems need finite q_star > 0, got {self.q_star!r}")
-            if self.M is None or not 0.0 < self.M < math.inf:
-                raise ConfigError(f"Neumann problems need finite M > 0, got {self.M!r}")
-        if kind in (BCKind.ROBIN, BCKind.RADIATIVE):
-            if self.Bi is None or not 0.0 <= self.Bi < math.inf:
-                raise ConfigError(f"{kind.value} problems need finite Bi >= 0, got {self.Bi!r}")
+        condition._check(self, condition.problem_params)
+
+    @property
+    def condition(self) -> type:
+        """The class of ``bc_kind`` (Dirichlet, Neumann, Robin or Radiative), which holds the condition's formulas."""
+        return _CONDITIONS[self.bc_kind]
 
     @property
     def D5(self) -> float | None:
         """Lipschitz constant 4 (T_star - T_m) |T_star|^3 of the fourth-power term (radiative only)."""
-        if self.bc_kind is not BCKind.RADIATIVE:
-            return None
-        return 4.0 * (self.T_star - self.T_m) * abs(self.T_star) ** 3
+        return self.condition.D5(self)
 
     def coefficients_into(self, f: np.ndarray, out: np.ndarray) -> tuple[float, float, float, float]:
         """Write L*, N* and mu* at f into out[0], out[1] and out[2]; return min L*, max L*, max |N*|, max |mu*|.
@@ -551,18 +849,13 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
     [T_m, 2 T_m] under a Neumann condition, whose profiles have no a-priori
     range; the result is marked as not analytically certified.
     """
-    kind = bc.kind
-    if kind is BCKind.NEUMANN and not bc.T_m > 0.0:
-        raise ConfigError(f"Neumann reduction needs T_m > 0 (q* and M are undefined otherwise), got T_m={bc.T_m}")
-
+    # T(0) and dT/df of temperature_of_f
+    T0, dT = bc.span()
     k0, gamma0 = model.k0, model.rho0 * model.c0
     mu0 = math.sqrt(gamma0 * k0)
-    alpha0 = model.alpha0
 
     if model.family:
         alpha, beta, Pe, T_star, T_m = model.family
-        # T(0) and dT/df of temperature_of_f
-        T0, dT = (bc.T_m, bc.T_m) if kind is BCKind.NEUMANN else (bc.T_star, bc.T_m - bc.T_star)
         *coefs, family = _linear_family(alpha, beta, Pe, (T0 - T_star) / (T_m - T_star), dT / (T_m - T_star))
     else:
         family = None
@@ -577,27 +870,6 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         )
     (L_star, L_bounds), (N_star, N_bounds), (mu_star, mu_bounds) = coefs
 
-    params: dict[str, float | None] = dict(Ste=None, q_star=None, M=None, Bi=None, r=None, T_star=None, T_m=None)
-    if kind in (BCKind.DIRICHLET, BCKind.ROBIN, BCKind.RADIATIVE):
-        params["Ste"] = (bc.T_star - bc.T_m) * model.c0 / model.ell
-        params["T_star"] = bc.T_star
-        params["T_m"] = bc.T_m
-    if kind is BCKind.NEUMANN:
-        _check_positive("the q* divisor k0*T_m", k0 * bc.T_m)
-        params["q_star"] = 2.0 * bc.q * math.sqrt(alpha0) / (k0 * bc.T_m)
-        # the Neumann map puts T_m at f = 0
-        k_at_melt = k0 * float(eval_coefficient(L_star, 0.0))
-        _check_positive("the M divisor T_m*c0*k(T_m)", bc.T_m * model.c0 * k_at_melt)
-        params["M"] = 2.0 * model.ell * k0 / (bc.T_m * model.c0 * k_at_melt)
-        params["T_m"] = bc.T_m
-    if kind in (BCKind.ROBIN, BCKind.RADIATIVE):
-        params["Bi"] = bc.h * math.sqrt(alpha0) / k0
-    if kind is BCKind.RADIATIVE:
-        # an infinite divisor (T_star = inf) is left to the T_star^4 check
-        if not k0 * (bc.T_star - bc.T_m) > 0.0:
-            raise ConfigError(f"the r divisor k0*(T_star-T_m) underflows to 0 at k0={k0!r}, T_star={bc.T_star!r}")
-        params["r"] = 2.0 * bc.sigma * bc.epsilon * math.sqrt(alpha0) / (k0 * (bc.T_star - bc.T_m))
-
     prob = DimensionlessProblem(
         L_star,
         N_star,
@@ -605,9 +877,9 @@ def build_dimensionless(model: ThermalModel, bc: BoundaryCondition) -> Dimension
         *L_bounds,
         *N_bounds,
         *mu_bounds,
-        bc_kind=kind,
+        bc_kind=bc.kind,
         bounds_certified=model.family is not None,
-        **params,
+        **bc.reduce(model, L_star),
     )
     object.__setattr__(prob, "_family", family)
     return prob
@@ -654,7 +926,7 @@ def linear_problem(
         q_star=q_star,
         M=M,
         Bi=Bi,
-        r=r if bc_kind is BCKind.RADIATIVE else None,
+        r=r if "r" in _CONDITIONS.get(bc_kind, _Condition).problem_params else None,
         T_star=T_star,
         T_m=T_m,
     )

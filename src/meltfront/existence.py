@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .coefficients import BCKind, DimensionlessProblem
-from .fixed_point import contraction_bound_or_inf, radiative_admissibility
+from .fixed_point import _hypotheses, contraction_bound_or_inf
 from .lambda_solver import Bracket, SolverSettings, DEFAULT_SETTINGS, bracket
 from .rootfind import bisect_root
 
@@ -63,18 +63,18 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
     doubling until the bound passes 1 and refining with the bracketed root
     finder, which steps to the midpoint where the bound is infinite.  An
     identically zero bound (constant coefficients) means unconditional
-    contraction and is reported as an absent threshold with that note.
+    contraction and is reported as an absent threshold with that note; the
+    condition's ``threshold_note`` gives it, or the reason of an undefined
+    bound, without a search.
     """
     e0 = contraction_bound_or_inf(prob, 0.0)
+    note = prob.condition.threshold_note(prob, e0)
+    if note is not None:
+        return None, note
     if e0 == math.inf:
-        if prob.bc_kind is BCKind.RADIATIVE and prob.mu_M == 0.0:
-            return None, "contraction bound undefined (mu_M = 0)"
         return None, "contraction bound overflows already at z = 0"
     if e0 >= 1.0:
         return None, f"contraction bound is {e0:.6g} >= 1 already at z = 0"
-    no_lipschitz = prob.L_tilde == prob.N_tilde == prob.mu_tilde == 0.0
-    if no_lipschitz and prob.bc_kind is not BCKind.RADIATIVE:
-        return None, "unconditional contraction (bound never reaches 1)"
     hi = 1.0
     for _ in range(64):
         if contraction_bound_or_inf(prob, hi) > 1.0:
@@ -87,12 +87,8 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
 
 
 def _flags(prob: DimensionlessProblem, br: Bracket, eps2: float) -> dict[str, str]:
-    kind = prob.bc_kind
-    flags: dict[str, str] = {}
-    if kind in (BCKind.DIRICHLET, BCKind.ROBIN):
-        flags["extra_contraction"] = HOLDS if contraction_bound_or_inf(prob, 0.0) < 1.0 else FAILS
-    if kind is BCKind.RADIATIVE:
-        flags.update((name, HOLDS if ok else FAILS) for name, ok in radiative_admissibility(prob).items())
+    # the condition's own hypotheses first, then those every condition shares
+    flags = {name: HOLDS if ok else FAILS for name, ok in _hypotheses(prob).items()}
     flags["contraction_at_lambda2"] = HOLDS if eps2 < 1.0 else FAILS
     flags["analytic_bracket"] = HOLDS if br.provenance == "analytic" else FAILS
     # mu_m = 0 (no convection floor) is an accepted degenerate regime; nothing

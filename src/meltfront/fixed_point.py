@@ -1,14 +1,10 @@
-"""Boundary-condition operators on profiles and the inner Picard iteration.
+"""The inner Picard iteration on profiles at a fixed front coefficient.
 
 For a fixed front coefficient lambda each boundary condition turns the
 similarity reduction into a fixed-point equation f = H(f) built from the
-Phi kernel:
-
-    Dirichlet:  H(f)  = Phi(f)(xi) / Phi(f)(lambda)
-    Neumann:    H(f)  = q* (Phi(f)(lambda) - Phi(f)(xi))
-    Robin:      H(f)  = (1 + 2 Bi Phi(f)(xi)) / (1 + 2 Bi Phi(f)(lambda))
-    radiative:  H(f)  = 1 - G(f)(0) (Phi(f)(lambda) - Phi(f)(xi)),
-                G(f)(0) = 2 Bi f(0) + r (T_star^4 - ((T_m - T_star) f(0) + T_star)^4)
+Phi kernel.  H is the ``image`` of the condition's class in
+:mod:`coefficients`, and its contraction bound the class's
+``contraction_bound``; this module evaluates the kernel they read.
 
 Plain Picard iteration is used on purpose: the contraction bounds returned
 by :func:`contraction_bound` certify its geometric rate, and no accelerated
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import BCKind, DimensionlessProblem
+from .coefficients import DimensionlessProblem, Radiative
 from .errors import ConfigError, ConvergenceError
 from .kernels import DEFAULT_GRID_N, KernelEval, ProfileGrid, eval_kernels, lipschitz_constants
 
@@ -70,39 +66,17 @@ class InnerResult:
 
 
 def default_start(prob: DimensionlessProblem, lam: float, n: int = DEFAULT_GRID_N) -> ProfileGrid:
-    """Default initial iterate: the linear ramp, or zero for Neumann problems."""
-    if prob.bc_kind is BCKind.NEUMANN:
-        return ProfileGrid.constant(lam, 0.0, n)
-    return ProfileGrid.linear(lam, n)
-
-
-def _radiative_g0(prob: DimensionlessProblem, f0: float) -> float:
-    T_star, T_m = prob.T_star, prob.T_m
-    F0 = T_star**4 - ((T_m - T_star) * f0 + T_star) ** 4
-    return 2.0 * prob.Bi * f0 + prob.r * F0
+    """Default initial iterate: the linear ramp, or zero for Neumann problems (the condition's ``start``)."""
+    return prob.condition.start(ProfileGrid, lam, n)
 
 
 def _operator_image(prob: DimensionlessProblem, profile: ProfileGrid) -> tuple[np.ndarray, KernelEval]:
-    """H(profile) as a new array, built in place in the operation order of the module docstring's formulas."""
+    """H(profile) as a new array: the condition's ``image`` of the profile's Phi kernel."""
     ke = eval_kernels(profile, prob)
-    Phi = ke.Phi
     phi_lam = ke.phi_lam
     if not phi_lam > 0.0:
         raise ConfigError(f"Phi(f)(lambda) must be positive, got {phi_lam!r}")
-    kind = prob.bc_kind
-    if kind is BCKind.DIRICHLET:
-        g = np.divide(Phi, phi_lam)
-    elif kind is BCKind.NEUMANN:
-        g = np.subtract(phi_lam, Phi)
-        g *= prob.q_star
-    elif kind is BCKind.ROBIN:
-        g = np.multiply(2.0 * prob.Bi, Phi)
-        g += 1.0
-        g /= 1.0 + 2.0 * prob.Bi * phi_lam
-    else:
-        g = np.subtract(phi_lam, Phi)
-        g *= _radiative_g0(prob, float(profile.f[0]))
-        np.subtract(1.0, g, out=g)
+    g = prob.condition.image(prob, ke.Phi, phi_lam, profile.f)
     if not np.isfinite(g).all():
         raise ConvergenceError("operator image contains non-finite values", lam=profile.lam)
     return g, ke
@@ -140,13 +114,16 @@ def solve_profile(
     elif abs(f0.lam - lam) > 1e-12 * max(1.0, lam):
         raise ConfigError(f"starting profile lives on lambda={f0.lam!r}, expected {lam!r}")
 
-    clamp = prob.bc_kind is BCKind.RADIATIVE and not radiative_in_admissible_set(prob)
+    # iterates of an operator that need not map into [0, 1] are watched, and
+    # clamped when the condition's own hypotheses fail
+    watch = not prob.condition.self_map
+    clamp = watch and not all(_hypotheses(prob).values())
     escaped = False
     did_clamp = False
 
     def accept(values: np.ndarray) -> ProfileGrid:
         nonlocal escaped, did_clamp
-        if prob.bc_kind is BCKind.RADIATIVE:
+        if watch:
             if float(np.min(values)) < -_ESCAPE_TOL or float(np.max(values)) > 1.0 + _ESCAPE_TOL:
                 escaped = True
             if clamp:
@@ -192,20 +169,11 @@ def solve_profile(
 def contraction_bound(prob: DimensionlessProblem, z: float) -> float:
     """Certified upper bound on the operator's Lipschitz constant over [0, z].
 
+    The condition's ``contraction_bound`` at the kernel constant D4(z).
     Robin problems share the Dirichlet bound.  Radiative problems with
     mu_M = 0 have no defined bound and raise ConfigError.
     """
-    D = lipschitz_constants(z, prob)
-    kind = prob.bc_kind
-    if kind in (BCKind.DIRICHLET, BCKind.ROBIN):
-        return 2.0 * D.D4 * prob.L_M * math.exp(prob.N_M / prob.L_m * z**2)
-    if kind is BCKind.NEUMANN:
-        return 2.0 * prob.q_star * z * D.D4
-    if prob.mu_M == 0.0:
-        raise ConfigError("radiative contraction bound is undefined when mu_M = 0")
-    head = 2.0 * (2.0 * prob.Bi + prob.r * prob.T_star**4) * z * D.D4
-    tail = math.exp(2.0 * prob.mu_M / prob.L_m * z) * (2.0 * prob.Bi + prob.r * prob.D5) / prob.mu_M
-    return head + tail
+    return prob.condition.contraction_bound(prob, z, lipschitz_constants(z, prob).D4)
 
 
 def contraction_bound_or_inf(prob: DimensionlessProblem, z: float) -> float:
@@ -222,6 +190,16 @@ def contraction_bound_or_inf(prob: DimensionlessProblem, z: float) -> float:
     return bound if math.isfinite(bound) else math.inf
 
 
+def _hypotheses(prob: DimensionlessProblem) -> dict[str, bool]:
+    """The condition's own existence hypotheses by certificate flag name (its ``hypotheses``)."""
+    return prob.condition.hypotheses(prob, contraction_bound_or_inf(prob, 0.0))
+
+
+def _radiative_only(prob: DimensionlessProblem) -> None:
+    if prob.condition is not Radiative:
+        raise ConfigError("self-map margin only applies to radiative problems")
+
+
 def radiative_self_map_margin(prob: DimensionlessProblem, *, dimensional: bool = False) -> float:
     """Left-hand side of the radiative self-map condition (must be <= 1).
 
@@ -229,26 +207,14 @@ def radiative_self_map_margin(prob: DimensionlessProblem, *, dimensional: bool =
     variants are reported by the existence certificate.  A margin that
     overflows is infinite.
     """
-    if prob.bc_kind is not BCKind.RADIATIVE:
-        raise ConfigError("self-map margin only applies to radiative problems")
-    try:
-        fourth = prob.T_star**4 - (prob.T_m**4 if dimensional else 0.0)
-        amp = 2.0 * prob.Bi + prob.r * fourth
-        return amp / (prob.L_m * math.sqrt(prob.N_m / prob.L_M)) * math.sqrt(math.pi) * math.exp(
-            prob.mu_M**2 * prob.L_M / (prob.L_m**2 * prob.N_m)
-        )
-    except OverflowError:
-        return math.inf
+    _radiative_only(prob)
+    return Radiative.self_map_margin(prob, dimensional)
 
 
 def radiative_admissibility(prob: DimensionlessProblem) -> dict[str, bool]:
     """The three radiative hypotheses, keyed by their existence-certificate flag names."""
-    return {
-        "radiative_self_map": radiative_self_map_margin(prob) <= 1.0,
-        "radiative_self_map_dimensional": radiative_self_map_margin(prob, dimensional=True) < 1.0,
-        # at z = 0 the bound is (2 Bi + r D5) / mu_M
-        "radiative_lipschitz": contraction_bound_or_inf(prob, 0.0) < 1.0,
-    }
+    _radiative_only(prob)
+    return _hypotheses(prob)
 
 
 def radiative_in_admissible_set(prob: DimensionlessProblem) -> bool:

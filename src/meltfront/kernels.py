@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 # eval_coefficient is bound here for bench/tracing.py, which wraps every binding of it
-from .coefficients import DimensionlessProblem, eval_coefficient  # noqa: F401
+from .coefficients import DimensionlessProblem, _erf, eval_coefficient  # noqa: F401
 from .errors import ConfigError, KernelOverflowError
 
 __all__ = [
@@ -215,14 +215,6 @@ class _Workspaces(threading.local):
 
 
 _WORKSPACES = _Workspaces()
-
-
-def _erf(x):
-    """erf by ``math.erf``: a float for a float or 0-d input, an array of the input's shape otherwise."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return math.erf(x)
-    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _kernel_pass(profile: ProfileGrid, prob: DimensionlessProblem, work: np.ndarray) -> np.ndarray:

@@ -1,12 +1,8 @@
 """Outer fixed point for the front coefficient: bracket and solve V(lambda) = lambda.
 
 V(lambda) evaluates the front condition on the inner fixed-point profile:
-
-    Dirichlet:  V = Ste/2 * E(f)(lambda) / Phi(f)(lambda)
-    Neumann:    V = q* / (M L*(f(lambda))) * E(f)(lambda)
-    Robin:      V = Ste Bi E(f)(lambda) / (1 + 2 Bi Phi(f)(lambda))
-    radiative:  V = Ste G(f)(0) / 2 * E(f)(lambda)
-
+the ``front_value`` of the condition's class in :mod:`coefficients`, which
+also holds the sandwich curves' ``v1`` and ``v2`` and the flux residual.
 Sandwich curves V1 <= V <= V2 (V1 = 0 for Robin/radiative) provide a
 bracket (lambda1, lambda2) with a guaranteed sign change of V(lambda) -
 lambda whenever the existence hypotheses hold; the bracketed ITP root
@@ -39,10 +35,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .coefficients import BCKind, DimensionlessProblem, eval_coefficient
+# eval_coefficient is bound here for bench/tracing.py, which wraps every binding of it
+from .coefficients import BCKind, DimensionlessProblem, eval_coefficient  # noqa: F401
 from .errors import ConfigError, ConvergenceError, MeltfrontError
-from .fixed_point import _ESCAPE_TOL, InnerResult, _radiative_g0, solve_profile
-from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid, _erf
+from .fixed_point import _ESCAPE_TOL, InnerResult, solve_profile
+from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid
 from .rootfind import bisect_root, chord_root, sign_change_intervals
 
 __all__ = [
@@ -135,37 +132,22 @@ class Bracket:
 
 
 def v1_curve(prob: DimensionlessProblem, lam: float) -> float:
-    """Lower sandwich curve (identically 0 for Robin/radiative problems).
+    """Lower sandwich curve (identically 0 for Robin/radiative problems): the condition's ``v1``.
 
     The Neumann curve uses E's lower envelope without its convection factor
     exp(2 lam mu_m / L_M) >= 1.
     """
-    kind = prob.bc_kind
-    if kind is BCKind.DIRICHLET:
-        return prob.Ste * prob.mu_M * math.exp(-2.0 * lam * prob.mu_M / prob.L_m - 2.0 * lam**2 * prob.N_M / prob.L_m)
-    if kind is BCKind.NEUMANN:
-        return prob.q_star / (prob.M * prob.L_M) * math.exp(-(lam**2) * prob.N_M / prob.L_m)
-    return 0.0
+    return prob.condition.v1(prob, lam)
 
 
 def v2_curve(prob: DimensionlessProblem, lam):
-    """Upper sandwich curve: E's upper envelope times the prefactor of each condition.
+    """Upper sandwich curve: E's upper envelope times the prefactor of each condition (its ``v2``).
 
     Takes a float or an array of lambdas and returns the same kind.
     """
     lam = np.asarray(lam, dtype=float)
     E_upper = np.exp(2.0 * lam * prob.mu_M / prob.L_m - lam**2 * prob.N_m / prob.L_M)
-    kind = prob.bc_kind
-    if kind is BCKind.NEUMANN:
-        value = prob.q_star / (prob.M * prob.L_m) * E_upper
-    elif kind is BCKind.RADIATIVE:
-        value = prob.Ste * (2.0 * prob.Bi + prob.r * prob.T_star**4) / 2.0 * E_upper
-    else:
-        # Dirichlet and Robin share the erf-based Phi lower envelope
-        scale = prob.Ste / math.sqrt(math.pi) * math.sqrt(prob.N_M / prob.L_m) * prob.L_M
-        denom = _erf(math.sqrt(prob.N_M / prob.L_m) * lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(denom == 0.0, math.inf, scale * E_upper / denom)
+    value = prob.condition.v2(prob, lam, E_upper)
     return float(value) if value.ndim == 0 else value
 
 
@@ -175,7 +157,7 @@ def v_value(
     settings: SolverSettings = DEFAULT_SETTINGS,
     f0: ProfileGrid | None = None,
 ) -> tuple[float, InnerResult]:
-    """Solve the inner profile at lam and evaluate the front condition.
+    """Solve the inner profile at lam and evaluate the front condition (the condition's ``front_value``).
 
     Inner non-convergence propagates as ConvergenceError with the offending
     lambda attached.
@@ -190,26 +172,11 @@ def v_value(
             lam=lam,
         )
     ke = inner.kernels
-    E_lam = ke.E_lam
-    phi_lam = ke.phi_lam
-    kind = prob.bc_kind
-    if kind is BCKind.DIRICHLET:
-        value = 0.5 * prob.Ste * E_lam / phi_lam
-    elif kind is BCKind.NEUMANN:
-        L_end = float(eval_coefficient(prob.L_star, inner.profile.f[-1]))
-        value = prob.q_star / (prob.M * L_end) * E_lam
-    elif kind is BCKind.ROBIN:
-        value = prob.Ste * prob.Bi * E_lam / (1.0 + 2.0 * prob.Bi * phi_lam)
-    else:
-        g0 = _radiative_g0(prob, float(inner.profile.f[0]))
-        value = 0.5 * prob.Ste * g0 * E_lam
-    return value, inner
+    return prob.condition.front_value(prob, ke.E_lam, ke.phi_lam, inner.profile.f), inner
 
 
 def _lambda1(prob: DimensionlessProblem) -> float:
-    kind = prob.bc_kind
-    if kind in (BCKind.ROBIN, BCKind.RADIATIVE):
-        return 0.0
+    # 0 where V1 vanishes (Robin, radiative)
     v0 = v1_curve(prob, 0.0)
     if v0 <= 0.0:
         return 0.0
@@ -236,7 +203,7 @@ def bracket(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTI
 
 
 def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> float:
-    """Relative defect of the front flux condition, via a one-sided difference.
+    """Relative defect of the front flux condition (the condition's ``flux_residual``), via a one-sided difference.
 
     The profile derivative at the front is estimated with the second-order
     backward three-point formula, independently of the integral identities
@@ -248,12 +215,7 @@ def front_flux_residual(prob: DimensionlessProblem, profile: ProfileGrid) -> flo
         raise ConfigError("front flux residual needs at least 3 nodes")
     h = profile.step
     fp = (3.0 * f[n] - 4.0 * f[n - 1] + f[n - 2]) / (2.0 * h)
-    if prob.bc_kind is BCKind.NEUMANN:
-        target = -prob.M * profile.lam
-        return abs(fp - target) / abs(target)
-    L_end = float(eval_coefficient(prob.L_star, f[n]))
-    target = 2.0 * profile.lam / prob.Ste
-    return abs(L_end * fp - target) / abs(target)
+    return prob.condition.flux_residual(prob, profile.lam, fp, f[n])
 
 
 @dataclass(frozen=True)
@@ -346,9 +308,8 @@ def solve_lambda(
 
     cert = certify(prob, settings)
     grids = [settings.n] if settings.n < _CONTINUATION_N else [DEFAULT_GRID_N, settings.n]
-    kind = prob.bc_kind
-    if start is not None and not (start.bc_kind is kind and start.f.size == grids[0] + 1
-                                  and _admissible(start.f, kind)):
+    if start is not None and not (start.bc_kind is prob.bc_kind and start.f.size == grids[0] + 1
+                                  and _admissible(start.f, prob.condition.f_max)):
         start = None
     prediction, steps, handed_on = start, 0, {}
     try:
@@ -437,7 +398,7 @@ class _FrontResidual:
         if self.tangent is not None:
             predicted = np.multiply(lam - self.evaluated[-1][0], self.tangent)
             predicted += self.warm
-            if _admissible(predicted, self.prob.bc_kind):
+            if _admissible(predicted, self.prob.condition.f_max):
                 return ProfileGrid._adopt(lam, predicted)
         return ProfileGrid._adopt(lam, self.warm)
 
@@ -494,11 +455,9 @@ def _solve_in_bracket(
     return sorted(evaluated, key=lambda e: abs(e[1])), len(evaluated) - ends
 
 
-def _admissible(f: np.ndarray, kind: BCKind) -> bool:
-    """Whether f lies in [0, 1] (Neumann: at or above 0) up to ``_ESCAPE_TOL``; NaN never does."""
-    if not float(np.min(f)) >= -_ESCAPE_TOL:
-        return False
-    return kind is BCKind.NEUMANN or float(np.max(f)) <= 1.0 + _ESCAPE_TOL
+def _admissible(f: np.ndarray, f_max: float) -> bool:
+    """Whether f lies in the condition's range [0, f_max] up to ``_ESCAPE_TOL``; NaN never does."""
+    return float(np.min(f)) >= -_ESCAPE_TOL and float(np.max(f)) <= f_max + _ESCAPE_TOL
 
 
 def _secant(a: _Evaluation, b: _Evaluation) -> float:

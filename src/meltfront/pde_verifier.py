@@ -7,10 +7,11 @@ The moving domain [0, s(t)] is immobilized with y = x / s(t), giving
 on the fixed strip y in [0, 1], coupled to the front energy balance
 s' = -k(T_m) T_y(1) / (s rho0 ell).  A linearised backward-Euler step with
 centered space differences marches this from similarity initial data at t0:
-k, rho*c, mu, the front speed and the face value are taken from the start of
-each step, the interior rows are one tridiagonal solve, and the front moves
-explicitly.  The solution is self-similar in log t, so the step is
-dt = dy * t, which takes about n ln(t1/t0) steps.  Agreement with the
+k, rho*c, mu, the front speed and the face value (the condition's
+``face_temperature``) are taken from the start of each step, the interior
+rows are one tridiagonal solve, and the front moves explicitly.  The
+solution is self-similar in log t, so the step is dt = dy * t, which takes
+about n ln(t1/t0) steps.  Agreement with the
 similarity field and front over [t0, t1] is a consistency check of the whole
 pipeline, not an initial-value solver for t -> 0 (the similarity solution is
 singular there).  A step allocates nothing: k, rho*c and mu are written into
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import BCKind, BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
+from .coefficients import BoundaryCondition, ThermalModel, eval_coefficient, temperature_of_f
 from .errors import ConfigError, ConvergenceError
 from .kernels import MAX_NODES
 from .reconstruct import PhysicalSolution, front_position
@@ -79,31 +80,6 @@ class PdeDiscrepancy:
     T_rel_max: float
     steps: int
     t_final: float
-
-
-def _face_temperature(bc: BoundaryCondition, model, T1, T2, T0_prev, dy, s, t):
-    """Face value from the flux condition, one-sided second-order in y."""
-    kind = bc.kind
-    if kind is BCKind.DIRICHLET:
-        return bc.T_star
-    T0 = T0_prev
-    for _ in range(8):
-        k0 = float(eval_coefficient(model.k, T0))
-        c = 2.0 * dy * s / (k0 * math.sqrt(t))
-        if kind is BCKind.NEUMANN:
-            new = (4.0 * T1 - T2 + c * bc.q) / 3.0
-        elif kind is BCKind.ROBIN:
-            new = (4.0 * T1 - T2 + c * bc.h * bc.T_star) / (3.0 + c * bc.h)
-        else:
-            # radiative: one Newton step on the quartic balance per sweep
-            g = 3.0 * T0 - 4.0 * T1 + T2 + c * (bc.h * (T0 - bc.T_star) + bc.sigma * bc.epsilon * (T0**4 - bc.T_star**4))
-            gp = 3.0 + c * (bc.h + 4.0 * bc.sigma * bc.epsilon * T0**3)
-            new = T0 - g / gp
-        if abs(new - T0) <= 1e-12 * max(1.0, abs(new)):
-            T0 = new
-            break
-        T0 = new
-    return T0
 
 
 def _similarity_T(sol: PhysicalSolution, y, s, t):
@@ -231,7 +207,7 @@ def verify(
             s += dt * sdot
             t += dt
             T[-1] = bc.T_m
-            T[0] = _face_temperature(bc, model, T[1], T[2], T0_prev, dy, s, t)
+            T[0] = bc.face_temperature(model, T[1], T[2], T0_prev, dy, s, t)
             steps += 1
 
             T_hi, T_lo = float(T.max()), float(T.min())
