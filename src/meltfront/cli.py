@@ -34,13 +34,10 @@ import numpy as np
 from . import __version__
 from .closed_form import dirichlet_constant, neumann_constant
 from .coefficients import (
+    _CONDITIONS,
     BCKind,
     BoundaryCondition,
     DimensionlessProblem,
-    Dirichlet,
-    Neumann,
-    Radiative,
-    Robin,
     ThermalModel,
     build_dimensionless,
     constant_model,
@@ -56,7 +53,7 @@ from .reconstruct import export_field_csv, export_front_csv, physical_solution
 
 _TOP_KEYS = {"bc", "coefficients", "reference", "numerics", "outputs", "sweep", "pde"}
 # the keys of a bc block are the fields of its class, T_m coming from the reference block
-_BC_CLASSES = {cls.kind.value: cls for cls in (Dirichlet, Neumann, Robin, Radiative)}
+_BC_CLASSES = {kind.value: cls for kind, cls in _CONDITIONS.items()}
 _COEF_KEYS = {"constant": {"Pe"}, "linear": {"alpha", "beta", "Pe"}, "table": {"path"}}
 _REFERENCE_KEYS = {"k0", "rho0", "c0", "ell", "T_m"}
 _OUTPUTS_KEYS = {"dir", "times", "nx"}

@@ -481,6 +481,13 @@ class Neumann(_Condition):
         if not self.q > 0.0:
             raise ConfigError(f"Neumann requires q > 0, got {self.q}")
 
+    @classmethod
+    def _check(cls, prob, names):
+        super()._check(prob, names)
+        # V1 and V2 divide by M L_M >= M L_m
+        if not prob.M * prob.L_m > 0.0:
+            raise ConfigError(f"the V1 and V2 divisor M*L_m underflows to 0 at M={prob.M!r}, L_m={prob.L_m!r}")
+
     def span(self):
         """T(0) and dT/df of T(f) = T_m (1 + f), which puts f = 0 at the melt front."""
         if not self.T_m > 0.0:
@@ -667,7 +674,8 @@ class Radiative(_Condition):
     @staticmethod
     def contraction_bound(prob, z, D4):
         if prob.mu_M == 0.0:
-            raise ConfigError("radiative contraction bound is undefined when mu_M = 0")
+            # undefined: the bound divides by mu_M
+            return math.inf
         head = 2.0 * (2.0 * prob.Bi + prob.r * prob.T_star**4) * z * D4
         tail = math.exp(2.0 * prob.mu_M / prob.L_m * z) * (2.0 * prob.Bi + prob.r * prob.D5) / prob.mu_M
         return head + tail
@@ -678,14 +686,14 @@ class Radiative(_Condition):
 
     @staticmethod
     def self_map_margin(prob, dimensional=False):
-        """Left-hand side of the self-map condition (<= 1), with T_star^4 - T_m^4 if dimensional; inf on overflow."""
+        """Left side of the self-map condition (<= 1), T_star^4 - T_m^4 if dimensional; inf on over/underflow."""
         try:
             fourth = prob.T_star**4 - (prob.T_m**4 if dimensional else 0.0)
             amp = 2.0 * prob.Bi + prob.r * fourth
             return amp / (prob.L_m * math.sqrt(prob.N_m / prob.L_M)) * math.sqrt(math.pi) * math.exp(
                 prob.mu_M**2 * prob.L_M / (prob.L_m**2 * prob.N_m)
             )
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             return math.inf
 
     @staticmethod

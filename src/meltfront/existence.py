@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .coefficients import BCKind, DimensionlessProblem
-from .fixed_point import _hypotheses, contraction_bound_or_inf
+from .fixed_point import _hypotheses, contraction_bound
 from .lambda_solver import Bracket, SolverSettings, DEFAULT_SETTINGS, bracket
 from .rootfind import bisect_root
 
@@ -67,7 +67,7 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
     condition's ``threshold_note`` gives it, or the reason of an undefined
     bound, without a search.
     """
-    e0 = contraction_bound_or_inf(prob, 0.0)
+    e0 = contraction_bound(prob, 0.0)
     note = prob.condition.threshold_note(prob, e0)
     if note is not None:
         return None, note
@@ -77,12 +77,12 @@ def lambda_bar(prob: DimensionlessProblem) -> tuple[float | None, str | None]:
         return None, f"contraction bound is {e0:.6g} >= 1 already at z = 0"
     hi = 1.0
     for _ in range(64):
-        if contraction_bound_or_inf(prob, hi) > 1.0:
+        if contraction_bound(prob, hi) > 1.0:
             break
         hi *= 2.0
     else:
         return None, "unconditional contraction (bound never reaches 1)"
-    root = bisect_root(lambda z: contraction_bound_or_inf(prob, z) - 1.0, 0.0, hi, xtol=1e-14)
+    root = bisect_root(lambda z: contraction_bound(prob, z) - 1.0, 0.0, hi, xtol=1e-14)
     return root, None
 
 
@@ -100,7 +100,7 @@ def _flags(prob: DimensionlessProblem, br: Bracket, eps2: float) -> dict[str, st
 def certify(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> ExistenceReport:
     """Evaluate every applicable hypothesis and assemble the certificate."""
     br = bracket(prob, settings)
-    eps2 = contraction_bound_or_inf(prob, br.lambda2)
+    eps2 = contraction_bound(prob, br.lambda2)
     lb, note = lambda_bar(prob)
     flags = _flags(prob, br, eps2)
     certified = all(v != FAILS for v in flags.values())

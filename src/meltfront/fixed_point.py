@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import DimensionlessProblem, Radiative
+from .coefficients import DimensionlessProblem
 from .errors import ConfigError, ConvergenceError
 from .kernels import DEFAULT_GRID_N, KernelEval, ProfileGrid, eval_kernels, lipschitz_constants
 
@@ -28,14 +28,15 @@ __all__ = [
     "apply_operator",
     "solve_profile",
     "contraction_bound",
-    "contraction_bound_or_inf",
-    "radiative_self_map_margin",
-    "radiative_admissibility",
-    "radiative_in_admissible_set",
 ]
 
-# tolerance for calling a radiative iterate "outside [0, 1]"
+# tolerance for calling an iterate "outside [0, f_max]"
 _ESCAPE_TOL = 1e-9
+
+
+def _admissible(f: np.ndarray, f_max: float) -> bool:
+    """Whether f lies in the condition's range [0, f_max] up to ``_ESCAPE_TOL``; NaN never does."""
+    return float(np.min(f)) >= -_ESCAPE_TOL and float(np.max(f)) <= f_max + _ESCAPE_TOL
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,7 @@ def solve_profile(
     def accept(values: np.ndarray) -> ProfileGrid:
         nonlocal escaped, did_clamp
         if watch:
-            if float(np.min(values)) < -_ESCAPE_TOL or float(np.max(values)) > 1.0 + _ESCAPE_TOL:
-                escaped = True
+            escaped = escaped or not _admissible(values, prob.condition.f_max)
             if clamp:
                 clipped = np.clip(values, 0.0, 1.0)
                 if not np.array_equal(clipped, values):
@@ -148,7 +148,7 @@ def solve_profile(
             worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
         prev_residual = residual if iterations else None
         if residual <= tol or iterations >= max_iter:
-            rate = contraction_bound_or_inf(prob, lam)
+            rate = contraction_bound(prob, lam)
             return InnerResult(
                 profile=current,
                 iterations=iterations,
@@ -167,24 +167,17 @@ def solve_profile(
 
 
 def contraction_bound(prob: DimensionlessProblem, z: float) -> float:
-    """Certified upper bound on the operator's Lipschitz constant over [0, z].
+    """Certified upper bound on the operator's Lipschitz constant over [0, z], or inf where it has none.
 
     The condition's ``contraction_bound`` at the kernel constant D4(z).
-    Robin problems share the Dirichlet bound.  Radiative problems with
-    mu_M = 0 have no defined bound and raise ConfigError.
-    """
-    return prob.condition.contraction_bound(prob, z, lipschitz_constants(z, prob).D4)
-
-
-def contraction_bound_or_inf(prob: DimensionlessProblem, z: float) -> float:
-    """The contraction bound, or inf where it is undefined (radiative mu_M = 0) or overflows.
-
-    Every certificate decision reads the bound through this function, so an
-    undefined or overflowing bound always counts as "not below 1".
+    Robin problems share the Dirichlet bound.  Where the bound is undefined
+    (radiative mu_M = 0) or overflows or underflows a divisor, it is inf, so
+    every certificate decision counts it as "not below 1".  A negative z
+    raises ConfigError.
     """
     try:
-        bound = contraction_bound(prob, z)
-    except (OverflowError, ConfigError):
+        bound = prob.condition.contraction_bound(prob, z, lipschitz_constants(z, prob).D4)
+    except (OverflowError, ZeroDivisionError):
         return math.inf
     # an overflowed factor times z = 0 gives NaN, not inf
     return bound if math.isfinite(bound) else math.inf
@@ -192,31 +185,4 @@ def contraction_bound_or_inf(prob: DimensionlessProblem, z: float) -> float:
 
 def _hypotheses(prob: DimensionlessProblem) -> dict[str, bool]:
     """The condition's own existence hypotheses by certificate flag name (its ``hypotheses``)."""
-    return prob.condition.hypotheses(prob, contraction_bound_or_inf(prob, 0.0))
-
-
-def _radiative_only(prob: DimensionlessProblem) -> None:
-    if prob.condition is not Radiative:
-        raise ConfigError("self-map margin only applies to radiative problems")
-
-
-def radiative_self_map_margin(prob: DimensionlessProblem, *, dimensional: bool = False) -> float:
-    """Left-hand side of the radiative self-map condition (must be <= 1).
-
-    The dimensional restatement replaces T_star^4 by T_star^4 - T_m^4; both
-    variants are reported by the existence certificate.  A margin that
-    overflows is infinite.
-    """
-    _radiative_only(prob)
-    return Radiative.self_map_margin(prob, dimensional)
-
-
-def radiative_admissibility(prob: DimensionlessProblem) -> dict[str, bool]:
-    """The three radiative hypotheses, keyed by their existence-certificate flag names."""
-    _radiative_only(prob)
-    return _hypotheses(prob)
-
-
-def radiative_in_admissible_set(prob: DimensionlessProblem) -> bool:
-    """Whether the radiative operator is certified to map [0, 1] profiles into [0, 1]."""
-    return all(radiative_admissibility(prob).values())
+    return prob.condition.hypotheses(prob, contraction_bound(prob, 0.0))

@@ -38,7 +38,7 @@ import numpy as np
 # eval_coefficient is bound here for bench/tracing.py, which wraps every binding of it
 from .coefficients import BCKind, DimensionlessProblem, eval_coefficient  # noqa: F401
 from .errors import ConfigError, ConvergenceError, MeltfrontError
-from .fixed_point import _ESCAPE_TOL, InnerResult, solve_profile
+from .fixed_point import _admissible, InnerResult, solve_profile
 from .kernels import DEFAULT_GRID_N, MAX_NODES, ProfileGrid
 from .rootfind import bisect_root, chord_root, sign_change_intervals
 
@@ -48,7 +48,6 @@ __all__ = [
     "Bracket",
     "SearchStart",
     "SolveReport",
-    "v1_curve",
     "v2_curve",
     "v_value",
     "bracket",
@@ -131,15 +130,6 @@ class Bracket:
             raise ConfigError(f"unknown bracket provenance {self.provenance!r}")
 
 
-def v1_curve(prob: DimensionlessProblem, lam: float) -> float:
-    """Lower sandwich curve (identically 0 for Robin/radiative problems): the condition's ``v1``.
-
-    The Neumann curve uses E's lower envelope without its convection factor
-    exp(2 lam mu_m / L_M) >= 1.
-    """
-    return prob.condition.v1(prob, lam)
-
-
 def v2_curve(prob: DimensionlessProblem, lam):
     """Upper sandwich curve: E's upper envelope times the prefactor of each condition (its ``v2``).
 
@@ -176,12 +166,12 @@ def v_value(
 
 
 def _lambda1(prob: DimensionlessProblem) -> float:
-    # 0 where V1 vanishes (Robin, radiative)
-    v0 = v1_curve(prob, 0.0)
+    # 0 where the lower sandwich curve V1 vanishes (Robin, radiative)
+    v0 = prob.condition.v1(prob, 0.0)
     if v0 <= 0.0:
         return 0.0
     # v1 decreases from v0 while the identity grows, so the root is in (0, v0]
-    return bisect_root(lambda x: v1_curve(prob, x) - x, 0.0, v0, xtol=1e-14)
+    return bisect_root(lambda x: prob.condition.v1(prob, x) - x, 0.0, v0, xtol=1e-14)
 
 
 def bracket(prob: DimensionlessProblem, settings: SolverSettings = DEFAULT_SETTINGS) -> Bracket:
@@ -311,14 +301,14 @@ def solve_lambda(
     if start is not None and not (start.bc_kind is prob.bc_kind and start.f.size == grids[0] + 1
                                   and _admissible(start.f, prob.condition.f_max)):
         start = None
-    prediction, steps, handed_on = start, 0, {}
+    prediction, steps, first_root = start, 0, None
     try:
         for n in grids:
+            # the first rung's root is read as a start by the rung above it and by the report
+            hand_on = n == grids[0]
             tol = settings.outer_tol * min(1.0, (DEFAULT_GRID_N / n) ** 2)
-            max_steps = _START_STEPS if n == grids[0] else _CHORD_STEPS
+            max_steps = _START_STEPS if hand_on else _CHORD_STEPS
             on_grid = None if prediction is None else _on_grid(prediction, n)
-            # a rung's root is read as a start by the rung above it and, for the first rung, by the report
-            hand_on = n == grids[0] or n != grids[-1]
             try:
                 best, found, rung_steps = _search(
                     prob, replace(settings, n=n), cert, tol, on_grid, max_steps, hand_on
@@ -328,7 +318,9 @@ def solve_lambda(
                     raise
                 prediction = None
                 continue
-            handed_on[n] = prediction = found
+            prediction = found
+            if hand_on:
+                first_root = found
             steps += rung_steps
         lam, g_best, inner = best
         return SolveReport(
@@ -342,7 +334,7 @@ def solve_lambda(
             profile_max=float(np.max(inner.profile.f)),
             existence=cert,
             settings=settings,
-            start=handed_on.get(grids[0]),
+            start=first_root,
         )
     except MeltfrontError as exc:
         exc.existence = cert
@@ -361,9 +353,9 @@ class _FrontResidual:
     solve starts from ``warm``; each later one from the last evaluation's
     Picard image (``InnerResult.image``), plus (lambda - lambda_last) times
     ``tangent`` when there is one and the sum stays in [0, 1] (Neumann: at
-    or above 0) up to ``_ESCAPE_TOL``.  A residual given a tangent renews it
-    from the images of its last two evaluations once they lie
-    ``_SLOPE_SPAN`` max(1, lambda) apart, the rule of ``_chord_partner``.
+    or above 0) up to ``fixed_point._ESCAPE_TOL``.  A residual given a
+    tangent renews it from the images of its last two evaluations once they
+    lie ``_SLOPE_SPAN`` max(1, lambda) apart, the rule of ``_chord_partner``.
     Every evaluation is kept in ``evaluated``.
     """
 
@@ -453,11 +445,6 @@ def _solve_in_bracket(
     # search before the bracket is narrower than 1e-15 max(1, lambda)
     bisect_root(g, a, b, xtol=0.5e-15 * max(1.0, a), ftol=tol, max_iter=200, fa=ga, fb=gb)
     return sorted(evaluated, key=lambda e: abs(e[1])), len(evaluated) - ends
-
-
-def _admissible(f: np.ndarray, f_max: float) -> bool:
-    """Whether f lies in the condition's range [0, f_max] up to ``_ESCAPE_TOL``; NaN never does."""
-    return float(np.min(f)) >= -_ESCAPE_TOL and float(np.max(f)) <= f_max + _ESCAPE_TOL
 
 
 def _secant(a: _Evaluation, b: _Evaluation) -> float:

@@ -327,6 +327,41 @@ def test_neumann_table_solves_inside_its_sandwich(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
+def _underflow_table(path, mu):
+    rows = [f"{0.5 + 0.1 * i!r},{1 + 0.08 * (i % 3)!r},{1 + 0.05 * (i % 2)!r},{mu(i)!r}" for i in range(40)]
+    path.write_text(TABLE_HEADER + "\n".join(rows) + "\n")
+    return path
+
+
+# k0 so large that L_m**2 (a), L_m**2 N_m (b) or M L_m (c) underflows to 0; exit codes of certify, solve, verify-pde
+UNDERFLOWING_DIVISORS = {
+    "a-lipschitz-constants": (
+        {"kind": "dirichlet", "T_star": 2.0}, lambda i: 0.0, {"k0": 1e300}, (0, 4, 4)),
+    "b-radiative-self-map-margin": (
+        {"kind": "radiative", "h": 0.1, "sigma": 1.0, "epsilon": 0.25, "T_star": 1.5},
+        lambda i: 0.3 + 0.01 * i, {"k0": 1e300}, (0, 4, 4)),
+    "c-neumann-sandwich": (
+        {"kind": "neumann", "q": 0.5}, lambda i: 0.0, {"k0": 1e150, "ell": 1e-300, "T_m": 1e150}, (3, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", UNDERFLOWING_DIVISORS)
+def test_underflowing_certificate_divisors_end_in_an_exit_code(tmp_path, case):
+    bc, mu, reference, codes = UNDERFLOWING_DIVISORS[case]
+    table = _underflow_table(tmp_path / "table.csv", mu)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        bc=bc,
+        coefficients={"family": "table", "path": str(table)},
+        reference=dict({"k0": 1.0, "rho0": 1.0, "c0": 1.0, "ell": 1.0, "T_m": 1.0}, **reference),
+    )
+    found = tuple(
+        main([command, "--config", str(cfg), "--out", str(tmp_path / command), "--quiet"])
+        for command in ("certify", "solve", "verify-pde")
+    )
+    assert found == codes
+
+
 def test_certify_with_overflowing_contraction_bound_exits_0(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", coefficients=dict(LINEAR, Pe=400.0))
     out = tmp_path / "out"

@@ -7,6 +7,8 @@ test walks the package and fails on any ``BCKind.<MEMBER>`` outside those
 classes, so a new per-condition formula has to be added to the classes
 instead of as one more ``if kind is ...`` chain.  The only other places that
 may name a member are the closed forms, which exist for two conditions only.
+Nor may a function outside ``coefficients.py`` merely pass its own
+parameters on to a condition formula: its callers can call the class.
 """
 
 import ast
@@ -54,3 +56,35 @@ def test_each_condition_class_names_only_its_own_kind():
     in_classes = [(owner, line) for module, owner, line in lines
                   if module == "coefficients.py" and owner in CONDITION_CLASSES]
     assert sorted(owner for owner, _ in in_classes) == ["Dirichlet", "Neumann", "Radiative", "Robin"]
+
+
+def _pass_throughs():
+    """(module, function) of each function outside coefficients.py whose whole body is
+    ``return <param>.condition.<formula>(...)`` with only its own parameters as arguments."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "coefficients.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = fn.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]  # the docstring
+            if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+                continue
+            call = body[0].value
+            params = {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+            target = call.func
+            if not (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "condition" and isinstance(target.value.value, ast.Name)
+                    and target.value.value.id in params):
+                continue
+            arguments = [*call.args, *(k.value for k in call.keywords)]
+            if all(isinstance(a, ast.Name) and a.id in params for a in arguments):
+                found.append((path.name, fn.name))
+    return found
+
+
+def test_no_function_only_passes_its_parameters_to_a_condition_formula():
+    assert _pass_throughs() == []

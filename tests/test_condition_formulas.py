@@ -46,8 +46,8 @@ from meltfront import (
 )
 from meltfront.coefficients import temperature_of_f
 from meltfront.errors import MeltfrontError
-from meltfront.fixed_point import contraction_bound_or_inf
-from meltfront.lambda_solver import v1_curve, v2_curve
+from meltfront.fixed_point import contraction_bound
+from meltfront.lambda_solver import v2_curve
 
 SETTINGS = SolverSettings(n=64)
 LAM = 0.6
@@ -120,10 +120,10 @@ def problem_formulas(case: str) -> dict:
         "v_value": value,
         "solve_profile": [inner.iterations, inner.residual, inner.clamped, inner.escaped_unit_interval,
                           inner.profile.f.sum(), inner.image.sum()],
-        "v1": [v1_curve(prob, 0.0), v1_curve(prob, LAM)],
+        "v1": [prob.condition.v1(prob, 0.0), prob.condition.v1(prob, LAM)],
         "v2": v2_curve(prob, LAM),
         "v2_array": v2_curve(prob, np.array([0.0, 0.3, 1.0])).tolist(),
-        "contraction": [contraction_bound_or_inf(prob, z) for z in (0.0, 0.3, 1.0)],
+        "contraction": [contraction_bound(prob, z) for z in (0.0, 0.3, 1.0)],
         "lambda_bar": list(lambda_bar(prob)),
         "certify": [cert.hypothesis_flags, cert.certified, cert.epsilon_at_lambda2,
                     cert.bracket.lambda1, cert.bracket.lambda2, cert.bracket.provenance],

@@ -13,12 +13,10 @@ from meltfront import (
     linear_problem,
     solve_profile,
 )
+from meltfront.coefficients import Radiative
+from meltfront.errors import ConfigError
 from meltfront.existence import HOLDS, lambda_bar
-from meltfront.fixed_point import (
-    contraction_bound_or_inf,
-    radiative_in_admissible_set,
-    radiative_self_map_margin,
-)
+from meltfront.fixed_point import _ESCAPE_TOL, _admissible, _hypotheses
 
 from conftest import random_profile
 
@@ -113,6 +111,32 @@ def test_contraction_bound_small_z_limit():
     assert contraction_bound(prob, 1e-12) == pytest.approx(0.22, abs=1e-9)
 
 
+def test_radiative_bound_is_inf_without_convection_and_rejects_negative_z():
+    prob = linear_problem(
+        BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.0, Ste=0.5, Bi=0.05, r=0.005, T_star=2.0, T_m=1.0
+    )
+    assert prob.mu_M == 0.0
+    assert contraction_bound(prob, 0.0) == contraction_bound(prob, 0.5) == np.inf
+    with pytest.raises(ConfigError, match="non-negative"):
+        contraction_bound(prob, -1.0)
+
+
+@pytest.mark.parametrize(
+    "values, f_max, admissible",
+    [
+        ([-_ESCAPE_TOL, 0.5, 1.0 + _ESCAPE_TOL], 1.0, True),
+        ([-2.0 * _ESCAPE_TOL, 0.5, 1.0], 1.0, False),
+        ([0.0, 0.5, 1.0 + 2.0 * _ESCAPE_TOL], 1.0, False),
+        ([0.0, np.nan, 1.0], 1.0, False),
+        ([0.0, 1e300], np.inf, True),
+        ([-2.0 * _ESCAPE_TOL, 1e300], np.inf, False),
+    ],
+    ids=["at-tolerance", "below-zero", "above-f_max", "nan", "unbounded", "unbounded-below-zero"],
+)
+def test_admissible_range(values, f_max, admissible):
+    assert _admissible(np.array(values), f_max) is admissible
+
+
 def test_robin_bound_equals_dirichlet_bound():
     pd = linear_problem(BCKind.DIRICHLET, alpha=0.1, beta=0.1, Pe=0.5, Ste=1.0)
     ph = linear_problem(BCKind.ROBIN, alpha=0.1, beta=0.1, Pe=0.5, Ste=1.0, Bi=3.0)
@@ -161,14 +185,14 @@ def test_radiative_hypothesis_margins():
     good = linear_problem(
         BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.3, Ste=0.5, Bi=0.05, r=0.005, T_star=2.0, T_m=1.0
     )
-    assert radiative_self_map_margin(good) <= 1.0
+    assert Radiative.self_map_margin(good) <= 1.0
     # the contraction bound at z = 0 is the Lipschitz margin (2 Bi + r D5) / mu_M, bit for bit
-    assert contraction_bound_or_inf(good, 0.0) == (2.0 * good.Bi + good.r * good.D5) / good.mu_M < 1.0
-    assert radiative_in_admissible_set(good)
+    assert contraction_bound(good, 0.0) == (2.0 * good.Bi + good.r * good.D5) / good.mu_M < 1.0
+    assert all(_hypotheses(good).values())
     bad = linear_problem(
         BCKind.RADIATIVE, alpha=0.05, beta=0.05, Pe=0.3, Ste=0.5, Bi=3.0, r=0.05, T_star=2.0, T_m=1.0
     )
-    assert not radiative_in_admissible_set(bad)
+    assert not all(_hypotheses(bad).values())
 
 
 RADIATIVE_FLAGS = ("radiative_self_map", "radiative_self_map_dimensional", "radiative_lipschitz")
@@ -193,14 +217,14 @@ def test_clamp_rule_agrees_with_the_certificate(params, holds):
     )
     flags = certify(prob).hypothesis_flags
     assert tuple(flags[name] == HOLDS for name in RADIATIVE_FLAGS) == holds
-    assert radiative_in_admissible_set(prob) == all(holds)
+    assert all(_hypotheses(prob).values()) == all(holds)
 
 
 def test_radiative_escape_is_flagged_and_clamped():
     prob = constant_problem(
         BCKind.RADIATIVE, Pe=0.5, Ste=1.0, Bi=3.0, r=0.01, T_star=2.0, T_m=1.0
     )
-    assert not radiative_in_admissible_set(prob)
+    assert not all(_hypotheses(prob).values())
     res = solve_profile(prob, 0.5, max_iter=40, n=128)
     # the raw image leaves [0, 1]; iterates are clamped and the run is
     # reported honestly whether or not it settles

@@ -23,7 +23,7 @@ from meltfront import (
     v_value,
 )
 from meltfront import fixed_point, lambda_solver
-from meltfront.lambda_solver import v1_curve, v2_curve
+from meltfront.lambda_solver import v2_curve
 
 from conftest import bisect_ref, full_bracket_lambda
 
@@ -49,7 +49,7 @@ def test_robin_v_vanishes_with_biot():
 def test_bracket_dirichlet_lower_root(linear_dirichlet):
     br = bracket(linear_dirichlet)
     assert br.provenance == "analytic"
-    assert abs(v1_curve(linear_dirichlet, br.lambda1) - br.lambda1) <= 1e-10
+    assert abs(linear_dirichlet.condition.v1(linear_dirichlet, br.lambda1) - br.lambda1) <= 1e-10
     assert abs(v2_curve(linear_dirichlet, br.lambda2) - br.lambda2) <= 1e-10
     assert br.lambda1 < br.lambda2
 
@@ -115,7 +115,7 @@ def test_sandwich_inside_bracket(prob):
     lams = np.linspace(max(br.lambda1, br.lambda2 * 1e-3), br.lambda2, 18)[1:-1]
     for lam in lams:
         value, _ = v_value(prob, float(lam), settings)
-        lo = v1_curve(prob, float(lam))
+        lo = prob.condition.v1(prob, float(lam))
         hi = v2_curve(prob, float(lam))
         assert lo - 1e-6 < value < hi + 1e-6
     # the root lies in the analytic bracket, up to the solver's widening by 1e-4
@@ -398,7 +398,7 @@ SEARCH_PATHS = {
 
 @pytest.mark.parametrize("path", SEARCH_PATHS)
 def test_each_search_path_pins_its_root_count_and_start(linear_dirichlet, monkeypatch, path):
-    n, start_name, patches, lam_hex, steps, handed_on = SEARCH_PATHS[path]
+    n, start_name, patches, lam_hex, steps, report_start = SEARCH_PATHS[path]
     start = _start(start_name, linear_dirichlet)
     for patch in patches:
         patch(monkeypatch)
@@ -406,7 +406,7 @@ def test_each_search_path_pins_its_root_count_and_start(linear_dirichlet, monkey
     assert report.lambda_tilde.hex() == lam_hex
     assert report.outer_iterations == steps
     found = None if report.start is None else (report.start.lam.hex(), report.start.slope.hex())
-    assert found == handed_on
+    assert found == report_start
 
 
 @pytest.mark.parametrize("n", [DEFAULT_GRID_N, 4096])
